@@ -38,7 +38,6 @@ from .inputdoc import (
     InputFormatError,
     OpenBookRecord,
     parse_dict,
-    parse_input,
     parse_text,
     serialize,
     serialize_text,
@@ -55,7 +54,7 @@ from .ribbon import (
     is_nonseparating,
     stabilize,
 )
-from .seifert import SeifertMatrix, page_framing_self_linking, seifert_matrix
+from .seifert import page_framing_self_linking, seifert_matrix
 from .sgengine import (
     FactError,
     InconsistentFactsError,
@@ -72,7 +71,6 @@ from .sgengine import (
 from .stein import (
     KernelAmbiguityError,
     KernelObstructionError,
-    MissingTraversalError,
     RotationResult,
     SteinCurve,
     SteinPositivityError,
@@ -85,10 +83,8 @@ from .stein import (
 )
 from .zlinalg import (
     IntMatrix,
-    SmithDecomposition,
     hermite_reduce,
     kernel_basis,
-    rank,
     smith_normal_form,
     solve_integer,
 )
@@ -112,7 +108,6 @@ __all__ = [
     "LegendrianDesc",
     "MalformedSurfaceError",
     "MissingAssumptionError",
-    "MissingTraversalError",
     "OpenBook",
     "OpenBookRecord",
     "RibbonSurface",
@@ -120,8 +115,6 @@ __all__ = [
     "SGFact",
     "SGFactBase",
     "SGInterval",
-    "SeifertMatrix",
-    "SmithDecomposition",
     "SpincSlot",
     "SteinCurve",
     "SteinPositivityError",
@@ -147,10 +140,8 @@ __all__ = [
     "load_fixture",
     "page_framing_self_linking",
     "parse_dict",
-    "parse_input",
     "parse_text",
     "pigeonhole_excess",
-    "rank",
     "replay_trace",
     "rotation_number",
     "seifert_matrix",

@@ -5,7 +5,9 @@ each read one input document and report on every record the relevant
 section contains; ``verify-paper`` runs the bundled acceptance suite.
 ``--input`` accepts a file path, the name of a bundled fixture, or
 inline JSON.  ``--format machine`` switches the report to JSON, and
-``--out`` writes it to a file instead of standard output.
+``--out`` writes it to a file instead of standard output.  Each data
+command computes one list of machine records; the human report is
+rendered from those records.
 
 Exit codes: 0 on success, 1 when a computation or derivation fails
 (including failed verify criteria), 2 when the input cannot be parsed.
@@ -16,20 +18,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ToolkitError
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .hfbook import hf_hat, hf_red_rank
 from .inputdoc import InputDocument, InputFormatError, parse_text
+from .ribbon import intersection_form
 from .seifert import page_framing_self_linking
-from .sgengine import derive_bounds
+from .sgengine import LegendrianDesc, SGInterval, TraceStep, derive_bounds
 from .stein import boundary_matrix, format_cycle, rotation_number
 from .verify import run_all
-from .zlinalg import IntMatrix, smith_normal_form
+from .zlinalg import smith_normal_form
 
-Report = Tuple[str, dict]
+Record = Dict[str, Any]
 
 
 def _resolve_document(value: str) -> InputDocument:
@@ -39,7 +43,7 @@ def _resolve_document(value: str) -> InputDocument:
     path = Path(value)
     if path.exists():
         return parse_text(path.read_text())
-    if value in FIXTURE_NAMES or value.endswith(".json") and value[:-5] in FIXTURE_NAMES:
+    if value.removesuffix(".json") in FIXTURE_NAMES:
         return load_fixture(value)
     raise InputFormatError(
         "document",
@@ -48,60 +52,37 @@ def _resolve_document(value: str) -> InputDocument:
     )
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [max([len(h)] + [len(row[i]) for row in rows]) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _tb_records(doc: InputDocument) -> List[Record]:
+    return [
+        {
+            "curve": name,
+            "surface": record.surface_name,
+            "tb": page_framing_self_linking(doc.surfaces[record.surface_name], record.curve),
+        }
+        for name, record in doc.curves.items()
+    ]
 
 
-def _cmd_tb(doc: InputDocument) -> Report:
+def _rot_records(doc: InputDocument) -> List[Record]:
     results = []
-    for name, record in doc.curves.items():
-        surface = doc.surfaces[record.surface_name]
-        results.append(
-            {
-                "curve": name,
-                "surface": record.surface_name,
-                "tb": page_framing_self_linking(surface, record.curve),
-            }
-        )
-    if not results:
-        return "no curves in document\n", {"command": "tb", "results": []}
-    rows = [[r["curve"], r["surface"], str(r["tb"])] for r in results]
-    return _table(("curve", "surface", "tb"), rows), {"command": "tb", "results": results}
-
-
-def _cmd_rot(doc: InputDocument) -> Report:
-    results = []
-    rows = []
     for name, problem in doc.stein_problems.items():
         outcome = rotation_number(problem)
-        formatted = format_cycle(problem, outcome.cycle)
         results.append(
             {
                 "problem": name,
                 "rotation": outcome.rotation,
                 "cycle": list(outcome.cycle),
-                "formatted": formatted,
+                "formatted": format_cycle(problem, outcome.cycle),
                 "base_rotations": list(outcome.c1),
             }
         )
-        rows.append([name, str(outcome.rotation), formatted])
-    if not results:
-        return "no stein problems in document\n", {"command": "rot", "results": []}
-    return _table(("problem", "rotation", "cycle"), rows), {"command": "rot", "results": results}
+    return results
 
 
-def _cmd_snf(doc: InputDocument) -> Report:
-    matrices: List[Tuple[str, IntMatrix]] = []
-    for name, surface in doc.surfaces.items():
-        matrices.append((f"intersection({name})", IntMatrix(surface.intersection, cols=surface.band_count)))
-    for name, problem in doc.stein_problems.items():
-        matrices.append((f"boundary({name})", boundary_matrix(problem)))
+def _snf_records(doc: InputDocument) -> List[Record]:
+    matrices = [(f"intersection({name})", intersection_form(surface)) for name, surface in doc.surfaces.items()]
+    matrices += [(f"boundary({name})", boundary_matrix(problem)) for name, problem in doc.stein_problems.items()]
     results = []
-    rows = []
     for label, matrix in matrices:
         snf = smith_normal_form(matrix)
         results.append(
@@ -114,78 +95,108 @@ def _cmd_snf(doc: InputDocument) -> Report:
                 "kernel_rank": matrix.cols - snf.rank,
             }
         )
-        rows.append(
-            [
-                label,
-                f"{matrix.rows}x{matrix.cols}",
-                str(snf.rank),
-                ", ".join(map(str, snf.diagonal)) or "-",
-                str(matrix.cols - snf.rank),
-            ]
-        )
-    if not results:
-        return "no matrices in document\n", {"command": "snf", "results": []}
-    return (
-        _table(("matrix", "size", "rank", "diagonal", "kernel rank"), rows),
-        {"command": "snf", "results": results},
-    )
+    return results
 
 
-def _cmd_hf(doc: InputDocument) -> Report:
-    results = []
-    rows = []
-    for name, module in doc.hf_modules.items():
-        hat = hf_hat(module)
-        results.append(
-            {
-                "module": name,
-                "spinc_count": module.spinc_count,
-                "hat_ranks": list(hat),
-                "red_rank": hf_red_rank(module),
-                "total_towers": module.total_towers,
-            }
-        )
-        rows.append(
-            [
-                name,
-                str(module.spinc_count),
-                ", ".join(map(str, hat)),
-                str(hf_red_rank(module)),
-                str(module.total_towers),
-            ]
-        )
-    if not results:
-        return "no hf modules in document\n", {"command": "hf", "results": []}
-    return (
-        _table(("module", "slots", "hat ranks", "reduced rank", "towers"), rows),
-        {"command": "hf", "results": results},
-    )
+def _hf_records(doc: InputDocument) -> List[Record]:
+    return [
+        {
+            "module": name,
+            "spinc_count": module.spinc_count,
+            "hat_ranks": list(hf_hat(module)),
+            "red_rank": hf_red_rank(module),
+            "total_towers": module.total_towers,
+        }
+        for name, module in doc.hf_modules.items()
+    ]
 
 
-def _cmd_sg_bounds(doc: InputDocument) -> Report:
-    bounds = derive_bounds(doc.fact_base())
-    results = []
+def _sg_bounds_records(doc: InputDocument) -> List[Record]:
+    return [
+        {
+            "type": desc.topo_type,
+            "tb": desc.tb,
+            "rot": desc.rot,
+            "lo": interval.lo,
+            "hi": interval.hi,
+            "trace": [
+                {"rule": step.rule, "bound": step.bound, "value": step.value, "reason": step.reason}
+                for step in interval.trace
+            ],
+        }
+        for desc, interval in derive_bounds(doc.fact_base()).items()
+    ]
+
+
+def _table(headers: Sequence[str], row: Callable[[Record], Sequence[str]]) -> Callable[[List[Record]], str]:
+    def render(records: List[Record]) -> str:
+        rows = [row(r) for r in records]
+        widths = [max([len(h)] + [len(cells[i]) for cells in rows]) for i, h in enumerate(headers)]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+        for cells in rows:
+            lines.append("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
+        return "\n".join(lines) + "\n"
+
+    return render
+
+
+def _sg_bounds_lines(records: List[Record]) -> str:
+    # rebuilt so the lines are formatted by sgengine, not by a copy here
     lines = []
-    for desc, interval in bounds.items():
-        results.append(
-            {
-                "type": desc.topo_type,
-                "tb": desc.tb,
-                "rot": desc.rot,
-                "lo": interval.lo,
-                "hi": interval.hi,
-                "trace": [
-                    {"rule": s.rule, "bound": s.bound, "value": s.value, "reason": s.reason}
-                    for s in interval.trace
-                ],
-            }
-        )
-        lines.append(f"{desc.label()}: {interval}")
-        for step in interval.trace:
-            lines.append(f"  {step}")
-    if not results:
-        return "no facts in document\n", {"command": "sg-bounds", "results": []}
-    return "\n".join(lines) + "\n", {"command": "sg-bounds", "results": results}
+    for r in records:
+        desc = LegendrianDesc(r["type"], r["tb"], r["rot"])
+        lines.append(f"{desc.label()}: {SGInterval(r['lo'], r['hi'])}")
+        lines.extend(f"  {TraceStep(**step)}" for step in r["trace"])
+    return "\n".join(lines) + "\n"
+
+
+def _joined(values: Sequence[int]) -> str:
+    return ", ".join(map(str, values))
+
+
+# command -> (machine records of a document, what an empty report lacks,
+# human report of nonempty records)
+_COMMANDS: Dict[str, Tuple[Callable[[InputDocument], List[Record]], str, Callable[[List[Record]], str]]] = {
+    "tb": (
+        _tb_records,
+        "curves",
+        _table(("curve", "surface", "tb"), lambda r: [r["curve"], r["surface"], str(r["tb"])]),
+    ),
+    "rot": (
+        _rot_records,
+        "stein problems",
+        _table(("problem", "rotation", "cycle"), lambda r: [r["problem"], str(r["rotation"]), r["formatted"]]),
+    ),
+    "snf": (
+        _snf_records,
+        "matrices",
+        _table(
+            ("matrix", "size", "rank", "diagonal", "kernel rank"),
+            lambda r: [
+                r["matrix"],
+                f"{r['rows']}x{r['cols']}",
+                str(r["rank"]),
+                _joined(r["diagonal"]) or "-",
+                str(r["kernel_rank"]),
+            ],
+        ),
+    ),
+    "hf": (
+        _hf_records,
+        "hf modules",
+        _table(
+            ("module", "slots", "hat ranks", "reduced rank", "towers"),
+            lambda r: [
+                r["module"],
+                str(r["spinc_count"]),
+                _joined(r["hat_ranks"]),
+                str(r["red_rank"]),
+                str(r["total_towers"]),
+            ],
+        ),
+    ),
+    "sg-bounds": (_sg_bounds_records, "facts", _sg_bounds_lines),
+}
 
 
 def _cmd_verify() -> Tuple[str, dict, int]:
@@ -195,22 +206,10 @@ def _cmd_verify() -> Tuple[str, dict, int]:
     lines.append(f"verify-paper: {passed}/{len(outcomes)} criteria passed")
     machine = {
         "command": "verify-paper",
-        "results": [
-            {"number": r.number, "title": r.title, "passed": r.passed, "detail": r.detail}
-            for r in outcomes
-        ],
+        "results": [asdict(r) for r in outcomes],
         "all_passed": passed == len(outcomes),
     }
     return "\n".join(lines) + "\n", machine, 0 if passed == len(outcomes) else 1
-
-
-_COMMANDS = {
-    "tb": _cmd_tb,
-    "rot": _cmd_rot,
-    "snf": _cmd_snf,
-    "hf": _cmd_hf,
-    "sg-bounds": _cmd_sg_bounds,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,16 +245,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify-paper":
             text, machine, code = _cmd_verify()
         else:
-            document = _resolve_document(args.input)
-            text, machine = _COMMANDS[args.command](document)
-            code = 0
+            records, empty, render = _COMMANDS[args.command]
+            results = records(_resolve_document(args.input))
+            machine, code = {"command": args.command, "results": results}, 0
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = text if args.format == "human" else json.dumps(machine, indent=2) + "\n"
+    if args.format == "machine":
+        report = json.dumps(machine, indent=2) + "\n"
+    elif args.command == "verify-paper":
+        report = text
+    else:
+        report = render(results) if results else f"no {empty} in document\n"
     if args.out:
         Path(args.out).write_text(report)
     else:

@@ -308,24 +308,21 @@ BUILDERS = _builders()
 FIXTURE_NAMES = tuple(BUILDERS)
 
 
-def _normalize(name: str) -> str:
-    return name[:-5] if name.endswith(".json") else name
+def _fixture_key(name: str) -> str:
+    key = name.removesuffix(".json")
+    if key not in BUILDERS:
+        raise InputFormatError("document", f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    return key
 
 
 def build_fixture(name: str) -> InputDocument:
     """Reconstruct a bundled fixture in memory, recomputing its numbers."""
-    key = _normalize(name)
-    if key not in BUILDERS:
-        raise InputFormatError("document", f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    return BUILDERS[key]()
+    return BUILDERS[_fixture_key(name)]()
 
 
 def load_fixture(name: str) -> InputDocument:
     """Parse a bundled fixture file by name."""
-    key = _normalize(name)
-    if key not in BUILDERS:
-        raise InputFormatError("document", f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    text = resources.files("supportgenus").joinpath("fixtures", f"{key}.json").read_text()
+    text = resources.files("supportgenus").joinpath("fixtures", f"{_fixture_key(name)}.json").read_text()
     return parse_text(text)
 
 

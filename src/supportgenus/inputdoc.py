@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ToolkitError
 from .hfbook import FormalHFModule, SpincSlot, hf_plus_surgery
@@ -70,7 +69,7 @@ from .sgengine import (
     SGFact,
     SGFactBase,
 )
-from .stein import MissingTraversalError, SteinCurve, SteinProblem, base_rotation_planar
+from .stein import SteinCurve, SteinProblem, base_rotation_planar
 
 
 class InputFormatError(ToolkitError):
@@ -317,11 +316,11 @@ def _parse_stein_curve(rec: _Record, p: int) -> SteinCurve:
     elif runs is not None:
         rotation = base_rotation_planar(runs)
     else:
-        raise InputFormatError(
+        _fail(
             rec.location,
             f"curve {name!r} has neither a runs word nor an explicit rotation; "
             "the homology class alone does not determine the base rotation",
-        ) from MissingTraversalError(name)
+        )
 
     twist_sign_raw = rec.take("twist_sign")
     twist_sign = 1 if twist_sign_raw is None else _expect_sign(twist_sign_raw, rec.at("twist_sign"))
@@ -467,24 +466,6 @@ def parse_text(text: str) -> InputDocument:
     if not isinstance(data, Mapping):
         raise InputFormatError("document", f"top level must be an object, got {type(data).__name__}")
     return parse_dict(data)
-
-
-def parse_input(source: Union[str, Path]) -> InputDocument:
-    """Parse a document from a file path, or from literal JSON text.
-
-    A :class:`~pathlib.Path` is read from disk.  A string starting with
-    ``{`` is treated as inline JSON (no filename looks like that, and
-    probing it as a path would choke on long documents); any other
-    string must name an existing file.
-    """
-    if isinstance(source, Path):
-        return parse_text(source.read_text())
-    if source.lstrip().startswith("{"):
-        return parse_text(source)
-    path = Path(source)
-    if path.exists():
-        return parse_text(path.read_text())
-    raise InputFormatError("document", f"no such file: {source}")
 
 
 def _serialize_word(word: Sequence[Tuple[int, int]]) -> List[List[int]]:

@@ -41,7 +41,7 @@ class CurveMismatchError(ToolkitError):
     """A curve was used with a surface it does not live on."""
 
 
-def _foot_positions(feet: Sequence[int], band_count: int) -> Dict[int, Tuple[int, int]]:
+def _foot_positions(feet: Sequence[int]) -> Dict[int, Tuple[int, int]]:
     positions: Dict[int, Tuple[int, int]] = {}
     for pos, label in enumerate(feet):
         if label in positions:
@@ -51,9 +51,10 @@ def _foot_positions(feet: Sequence[int], band_count: int) -> Dict[int, Tuple[int
     return positions
 
 
-def _interleaving_form(positions: Mapping[int, Tuple[int, int]], band_count: int):
+def interleaving_form(feet: Sequence[int], band_count: int):
     """<a_i, a_j> from foot interleaving; chords through a disk cross at
     most once, so entries are -1, 0 or +1."""
+    positions = _foot_positions(feet)
     form = [[0] * band_count for _ in range(band_count)]
     for i in range(band_count):
         p1, p2 = positions[i]
@@ -96,7 +97,6 @@ class RibbonSurface:
         "feet_order",
         "twists",
         "crossings",
-        "orientation_preserving",
         "euler_characteristic",
         "boundary_components",
         "genus",
@@ -111,7 +111,6 @@ class RibbonSurface:
         feet_order: Sequence[int],
         twists: Optional[Sequence[int]] = None,
         crossings=None,
-        orientation_preserving: Optional[Sequence[bool]] = None,
     ):
         n = int(band_count)
         if n < 0:
@@ -130,24 +129,14 @@ class RibbonSurface:
         if len(tw) != n or any(not isinstance(t, int) for t in tw):
             raise MalformedSurfaceError(f"twists must be {n} integers")
 
-        flags = tuple(bool(f) for f in orientation_preserving) if orientation_preserving is not None else (True,) * n
-        if len(flags) != n:
-            raise MalformedSurfaceError(f"orientation flags must have length {n}")
-        for i, flag in enumerate(flags):
-            if not flag:
-                raise MalformedSurfaceError(
-                    f"orientability: band {i} is attached with a reversal; only orientable pages are supported"
-                )
-
         cross = _canonical_crossings(n, crossings or {})
-        positions = _foot_positions(feet, n)
-        iform = tuple(tuple(row) for row in _interleaving_form(positions, n))
+        positions = _foot_positions(feet)
+        iform = tuple(tuple(row) for row in interleaving_form(feet, n))
 
         object.__setattr__(self, "band_count", n)
         object.__setattr__(self, "feet_order", feet)
         object.__setattr__(self, "twists", tw)
         object.__setattr__(self, "crossings", cross)
-        object.__setattr__(self, "orientation_preserving", flags)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_iform", iform)
         object.__setattr__(self, "_crossmap", dict(cross))
@@ -241,7 +230,6 @@ def build_surface(
     feet_order: Sequence[int],
     twists: Optional[Sequence[int]] = None,
     crossings=None,
-    orientation_preserving: Optional[Sequence[bool]] = None,
 ) -> RibbonSurface:
     """Assemble and validate a page from its band data.
 
@@ -250,7 +238,7 @@ def build_surface(
     >>> build_surface(2, [0, 0, 1, 1]).boundary_components
     3
     """
-    return RibbonSurface(band_count, feet_order, twists, crossings, orientation_preserving)
+    return RibbonSurface(band_count, feet_order, twists, crossings)
 
 
 @dataclass(frozen=True)
@@ -289,7 +277,8 @@ class CurveClass:
                 )
 
 
-def _require_same_surface(surface: RibbonSurface, curve: CurveClass) -> None:
+def require_same_surface(surface: RibbonSurface, curve: CurveClass) -> None:
+    """Raise :class:`CurveMismatchError` unless ``curve`` lives on ``surface``."""
     if curve.surface != surface:
         raise CurveMismatchError("curve was built on a different page")
 
@@ -301,7 +290,7 @@ def is_nonseparating(surface: RibbonSurface, curve: CurveClass) -> bool:
     page can be made Legendrian with contact framing equal to page
     framing exactly when it is homologically nontrivial.
     """
-    _require_same_surface(surface, curve)
+    require_same_surface(surface, curve)
     return any(c != 0 for c in curve.coefficients)
 
 
@@ -317,7 +306,7 @@ def dehn_twist_action(surface: RibbonSurface, curve: CurveClass, sign: int) -> I
     preserves the intersection form for either handedness.  ``sign`` is
     +1 for a right-handed twist and -1 for a left-handed one.
     """
-    _require_same_surface(surface, curve)
+    require_same_surface(surface, curve)
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +1 or -1, got {sign}")
     n = surface.band_count
@@ -345,7 +334,7 @@ class OpenBook:
         word = tuple((c, int(s)) for c, s in self.monodromy)
         object.__setattr__(self, "monodromy", word)
         for curve, sign in word:
-            _require_same_surface(self.page, curve)
+            require_same_surface(self.page, curve)
             if sign not in (1, -1):
                 raise ValueError(f"monodromy signs must be +1 or -1, got {sign}")
 
@@ -374,7 +363,7 @@ def stabilize(open_book: OpenBook, insert_at: Tuple[int, int]) -> OpenBook:
     feet.insert(p, n)
     feet.insert(q, n)
 
-    interleave = _interleaving_form(_foot_positions(feet, n + 1), n + 1)
+    interleave = interleaving_form(feet, n + 1)
     crossings = dict(page.crossings)
     for j in range(n):
         if interleave[n][j]:

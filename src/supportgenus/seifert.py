@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ribbon import CurveClass, RibbonSurface, _require_same_surface
+from .ribbon import CurveClass, RibbonSurface, require_same_surface
 from .zlinalg import IntMatrix
 
 
@@ -73,7 +73,7 @@ def page_framing_self_linking(surface: RibbonSurface, curve: CurveClass) -> int:
     the Legendrian realization of K.  The value is quadratic in the
     class and insensitive to orientation reversal.
     """
-    _require_same_surface(surface, curve)
+    require_same_surface(surface, curve)
     v = seifert_matrix(surface).pairing
     k = curve.coefficients
     return sum(k[i] * sum(v[i, j] * k[j] for j in range(len(k))) for i in range(len(k)))

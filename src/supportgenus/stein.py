@@ -17,16 +17,12 @@ choice; higher rank is reported as ambiguity, never silently resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import ToolkitError
-from .zlinalg import IntMatrix, hermite_reduce, kernel_basis
+from .zlinalg import IntMatrix, kernel_basis
 
 Run = Tuple[int, int]
-
-
-class MissingTraversalError(ToolkitError):
-    """A base rotation was requested without a traversal word."""
 
 
 class SteinPositivityError(ToolkitError):
@@ -57,15 +53,15 @@ class KernelAmbiguityError(ToolkitError):
         )
 
 
-def base_rotation_planar(runs: Sequence[Run], convention: Optional[Callable[[Sequence[Run]], int]] = None) -> int:
+def base_rotation_planar(runs: Sequence[Run]) -> int:
     """Base rotation number of a curve on the trivial planar open book,
     from its cyclic traversal word of signed one-handle runs.
 
-    The shipped default convention counts sign alternations around the
-    cyclic word and returns minus half that count.  It is calibrated
-    against the standard one-handle diagrams: a single run in either
-    direction gives 0, and a two-handle zigzag (one run positive, one
-    negative) gives -1.  It is a convention, not a derivation; curves
+    The convention counts sign alternations around the cyclic word and
+    returns minus half that count.  It is calibrated against the
+    standard one-handle diagrams: a single run in either direction
+    gives 0, and a two-handle zigzag (one run positive, one negative)
+    gives -1.  It is a convention, not a derivation; curves
     outside this calibrated family should carry explicit base rotations
     in the input.
 
@@ -78,8 +74,6 @@ def base_rotation_planar(runs: Sequence[Run], convention: Optional[Callable[[Seq
     for _handle, sign in word:
         if sign not in (1, -1):
             raise ValueError(f"run signs must be +1 or -1, got {sign}")
-    if convention is not None:
-        return convention(word)
     if not word:
         return 0
     signs = [s for _h, s in word]
@@ -201,9 +195,8 @@ def rotation_number(problem: SteinProblem) -> RotationResult:
     if len(basis) != 1:
         if not basis:
             raise KernelObstructionError(kernel_rank=0, coefficient_gcd=0)
-        reduced = hermite_reduce(basis)
-        pairings = tuple(sum(a * b for a, b in zip(c1, vec)) for vec in reduced)
-        raise KernelAmbiguityError(basis=reduced, pairings=pairings)
+        pairings = tuple(sum(a * b for a, b in zip(c1, vec)) for vec in basis)
+        raise KernelAmbiguityError(basis=basis, pairings=pairings)
     vec = basis[0]
     if abs(vec[k]) != 1:
         raise KernelObstructionError(kernel_rank=1, coefficient_gcd=abs(vec[k]))

@@ -15,7 +15,7 @@ from typing import Callable, List, Tuple
 
 from .fixtures import load_fixture
 from .hfbook import ContactClassSet, hf_hat, hf_red_rank, pigeonhole_excess, trefoil_rotation_list
-from .ribbon import CurveClass, RibbonSurface, _foot_positions, _interleaving_form, dehn_twist_action, intersection_form
+from .ribbon import CurveClass, RibbonSurface, dehn_twist_action, intersection_form, interleaving_form
 from .seifert import page_framing_self_linking, seifert_matrix
 from .sgengine import (
     NONPLANAR_SURGERY,
@@ -179,7 +179,8 @@ def _criterion_8() -> Check:
     return True, "[1,1], [0,0], [1,1] with replayable traces on the three fact fixtures"
 
 
-def _random_matrix(rng: random.Random, rows: int, cols: int, span: int = 9) -> IntMatrix:
+def random_matrix(rng: random.Random, rows: int, cols: int, span: int = 9) -> IntMatrix:
+    """A rows x cols matrix with entries drawn uniformly from [-span, span]."""
     return IntMatrix([[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)])
 
 
@@ -187,7 +188,7 @@ def _snf_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
     for _ in range(count):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        a = _random_matrix(rng, rows, cols)
+        a = random_matrix(rng, rows, cols)
         s = smith_normal_form(a)
         if s.U @ a @ s.V != s.D:
             return False, f"SNF product mismatch on {a!r}"
@@ -204,30 +205,34 @@ def _snf_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
     return True, ""
 
 
+def brute_kernel(a: IntMatrix, box: int) -> List[Tuple[int, ...]]:
+    """Every kernel vector of ``a`` with entries in [-box, box], by enumeration."""
+    vecs = []
+    vec = [-box] * a.cols
+    while True:
+        v = tuple(vec)
+        if a.mul_vec(v) == (0,) * a.rows:
+            vecs.append(v)
+        i = 0
+        while i < a.cols and vec[i] == box:
+            vec[i] = -box
+            i += 1
+        if i == a.cols:
+            break
+        vec[i] += 1
+    return vecs
+
+
 def _kernel_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
-    box = 2
     for _ in range(count):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
-        a = _random_matrix(rng, rows, cols, span=3)
+        a = random_matrix(rng, rows, cols, span=3)
         basis = kernel_basis(a)
         for vec in basis:
             if a.mul_vec(vec) != (0,) * rows:
                 return False, f"kernel basis vector {vec} of {a!r} not in kernel"
-        brute = []
-        vec = [-box] * cols
-        while True:
-            v = tuple(vec)
-            if a.mul_vec(v) == (0,) * rows:
-                brute.append(v)
-            i = 0
-            while i < cols and vec[i] == box:
-                vec[i] = -box
-                i += 1
-            if i == cols:
-                break
-            vec[i] += 1
-        for v in brute:
+        for v in brute_kernel(a, 2):
             if not basis:
                 if any(v):
                     return False, f"brute force found kernel vector {v} of {a!r} outside empty basis"
@@ -237,11 +242,14 @@ def _kernel_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
     return True, ""
 
 
-def _random_surface(rng: random.Random, max_bands: int = 5) -> RibbonSurface:
+def random_surface(rng: random.Random, max_bands: int = 5) -> RibbonSurface:
+    """A page with 1..max_bands bands in shuffled foot order, random
+    twists and self-crossings, and crossing counts between bands of the
+    parity their interleaving forces."""
     n = rng.randint(1, max_bands)
     feet = [band for band in range(n) for _ in range(2)]
     rng.shuffle(feet)
-    iform = _interleaving_form(_foot_positions(feet, n), n)
+    iform = interleaving_form(feet, n)
     crossings = {}
     for i in range(n):
         for j in range(i, n):
@@ -257,7 +265,7 @@ def _random_surface(rng: random.Random, max_bands: int = 5) -> RibbonSurface:
 
 def _pairing_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
     for _ in range(count):
-        surface = _random_surface(rng)
+        surface = random_surface(rng)
         v = seifert_matrix(surface)
         if v.skew_part != -intersection_form(surface):
             return False, f"V - V^T is not -J on {surface!r}"
@@ -266,7 +274,7 @@ def _pairing_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
 
 def _transvection_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
     for _ in range(count):
-        surface = _random_surface(rng)
+        surface = random_surface(rng)
         coeffs = tuple(rng.randint(-3, 3) for _ in range(surface.band_count))
         curve = CurveClass(surface, coeffs)
         sign = rng.choice((1, -1))

@@ -300,11 +300,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(U=IntMatrix(u, cols=m), D=IntMatrix(d, cols=n), V=IntMatrix(v, cols=n))
 
 
-def rank(a: IntMatrix) -> int:
-    """Rank of an integer matrix (over the rationals)."""
-    return smith_normal_form(a).rank
-
-
 def hermite_reduce(vectors: Sequence[Sequence[int]]) -> tuple:
     """Canonical basis (row Hermite normal form) for the lattice spanned
     by the given vectors.

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -99,6 +101,13 @@ def test_inline_json_document(capsys):
     assert data["results"] == [{"curve": "core", "surface": "ann", "tb": 3}]
 
 
+def test_document_read_from_a_file_path(tmp_path, capsys):
+    target = tmp_path / "doc.json"
+    target.write_text(json.dumps({"hf_modules": [{"name": "big", "trefoil_surgery": 7}]}))
+    assert main(["hf", "--input", str(target), "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["hat_ranks"] == [3] + [1] * 7
+
+
 def test_out_writes_the_report_to_a_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["tb", "--input", "fig1_torus_k1", "--format", "machine", "--out", str(target)])
@@ -147,3 +156,11 @@ def test_argparse_rejections():
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["supportgenus", "tb", "--input", "fig1_torus_k1"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("supportgenus", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("curve  surface  tb\n")

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from supportgenus.fixtures import FIXTURE_NAMES, build_fixture, load_fixture
@@ -7,7 +5,6 @@ from supportgenus.inputdoc import (
     InputDocument,
     InputFormatError,
     parse_dict,
-    parse_input,
     parse_text,
     serialize,
     serialize_text,
@@ -246,14 +243,3 @@ def test_parse_text_reports_syntax_errors_with_position():
     assert "line 1" in str(info.value)
     with pytest.raises(InputFormatError, match="top level"):
         parse_text("[1, 2]")
-
-
-def test_parse_input_accepts_paths_and_inline_json(tmp_path):
-    target = tmp_path / "doc.json"
-    target.write_text(json.dumps(MINIMAL))
-    from_file = parse_input(target)
-    from_str_path = parse_input(str(target))
-    from_inline = parse_input(json.dumps(MINIMAL))
-    assert from_file == from_str_path == from_inline
-    with pytest.raises(InputFormatError, match="no such file"):
-        parse_input("missing_bits.json")

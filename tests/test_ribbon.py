@@ -7,13 +7,13 @@ from supportgenus.ribbon import (
     CurveMismatchError,
     MalformedSurfaceError,
     OpenBook,
-    RibbonSurface,
     build_surface,
     dehn_twist_action,
     intersection_form,
     is_nonseparating,
     stabilize,
 )
+from supportgenus.verify import random_surface
 from supportgenus.zlinalg import IntMatrix
 
 
@@ -73,11 +73,6 @@ def test_crossing_parity_enforced():
     assert build_surface(2, [0, 0, 1, 1], crossings={(0, 1): 2}).boundary_components == 3
 
 
-def test_nonorientable_bands_rejected():
-    with pytest.raises(MalformedSurfaceError, match="orientab"):
-        build_surface(1, [0, 0], orientation_preserving=[False])
-
-
 def test_surface_equality_and_hash():
     a = build_surface(1, [0, 0], twists=[2])
     b = build_surface(1, [0, 0], twists=[2])
@@ -105,24 +100,6 @@ def test_is_nonseparating():
     other = build_surface(2, [0, 1, 0, 1], crossings={(0, 1): 1})
     with pytest.raises(CurveMismatchError):
         is_nonseparating(pants, CurveClass(other, (1, 0)))
-
-
-def random_surface(rng, max_bands=5):
-    from supportgenus.ribbon import _foot_positions, _interleaving_form
-
-    n = rng.randint(1, max_bands)
-    feet = [band for band in range(n) for _ in range(2)]
-    rng.shuffle(feet)
-    # crossings must match the parity the feet interleaving forces
-    iform = _interleaving_form(_foot_positions(feet, n), n)
-    crossings = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            count = iform[i][j] + 2 * rng.randint(-2, 2)
-            if count:
-                crossings[(i, j)] = count
-    twists = tuple(rng.randint(-3, 3) for _ in range(n))
-    return RibbonSurface(n, feet, twists, crossings)
 
 
 def test_twist_action_preserves_form():

@@ -2,9 +2,8 @@ import random
 
 from supportgenus.ribbon import CurveClass, OpenBook, build_surface, intersection_form, stabilize
 from supportgenus.seifert import page_framing_self_linking, seifert_matrix
+from supportgenus.verify import random_surface
 from supportgenus.zlinalg import IntMatrix
-
-from test_ribbon import random_surface
 
 
 def test_annulus_pairing_is_the_twist():

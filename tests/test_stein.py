@@ -27,11 +27,6 @@ def test_base_rotation_default_convention():
     assert base_rotation_planar([(0, 1), (1, -1), (2, 1), (3, -1)]) == -2
 
 
-def test_base_rotation_custom_convention():
-    word = [(0, 1), (1, -1)]
-    assert base_rotation_planar(word, convention=len) == 2
-
-
 def test_base_rotation_rejects_bad_signs():
     with pytest.raises(ValueError):
         base_rotation_planar([(0, 2)])

@@ -4,18 +4,14 @@ from itertools import combinations
 
 import pytest
 
+from supportgenus.verify import brute_kernel, random_matrix
 from supportgenus.zlinalg import (
     IntMatrix,
     hermite_reduce,
     kernel_basis,
-    rank,
     smith_normal_form,
     solve_integer,
 )
-
-
-def random_matrix(rng, rows, cols, span=9):
-    return IntMatrix([[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)])
 
 
 def test_matrix_basics():
@@ -110,7 +106,7 @@ def test_smith_invariants_random():
 def test_smith_zero_and_empty():
     z = smith_normal_form(IntMatrix.zero(2, 3))
     assert z.diagonal == (0, 0)
-    assert rank(IntMatrix.zero(2, 3)) == 0
+    assert z.rank == 0
 
 
 def test_kernel_basis_hand_checked():
@@ -120,28 +116,12 @@ def test_kernel_basis_hand_checked():
     assert kernel_basis(IntMatrix([[2, -2]])) == ((1, 1),)
 
 
-def brute_kernel(a, box):
-    vecs = []
-    vec = [-box] * a.cols
-    while True:
-        v = tuple(vec)
-        if a.mul_vec(v) == (0,) * a.rows:
-            vecs.append(v)
-        i = 0
-        while i < a.cols and vec[i] == box:
-            vec[i] = -box
-            i += 1
-        if i == a.cols:
-            break
-        vec[i] += 1
-    return vecs
-
-
 def test_kernel_against_brute_force():
     rng = random.Random(17)
     for _ in range(60):
         a = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4), span=3)
         basis = kernel_basis(a)
+        assert hermite_reduce(basis) == basis
         for vec in basis:
             assert a.mul_vec(vec) == (0,) * a.rows
         for v in brute_kernel(a, 2):
