@@ -463,6 +463,12 @@ def parse_text(text: str) -> InputDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"line {exc.lineno}, column {exc.colno}", f"not valid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputFormatError("document", "nested too deeply to parse") from exc
+    except ValueError as exc:
+        # json converts integer literals with int(), which refuses
+        # literals longer than the interpreter's digit limit
+        raise InputFormatError("document", "an integer literal has too many digits") from exc
     if not isinstance(data, Mapping):
         raise InputFormatError("document", f"top level must be an object, got {type(data).__name__}")
     return parse_dict(data)

@@ -6,13 +6,14 @@ workhorses are :func:`smith_normal_form`, :func:`kernel_basis` and
 :func:`solve_integer`; the rest is the small immutable matrix container
 they share with the topological modules.
 
-All functions are pure: matrices are immutable and every operation
-returns a fresh object.
+All public functions are pure: matrices are immutable and every
+operation returns a fresh object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -109,29 +110,15 @@ class IntMatrix:
         return IntMatrix([[-x for x in row] for row in self.data], cols=self.cols)
 
     def determinant(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
+        """Exact determinant via fraction-free (Bareiss) elimination.
+
+        >>> IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]]).determinant()
+        -3
+        """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        pivots, last, sign = _bareiss([list(row) for row in self.data], self.cols)
+        return sign * last if len(pivots) == self.cols else 0
 
     # -- comparison / display -----------------------------------------
 
@@ -151,25 +138,42 @@ class IntMatrix:
         return "\n".join("[ " + "  ".join(str(x).rjust(width) for x in row) + " ]" for row in self.data)
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V and diagonal D with U @ A @ V == D.
+    """Smith normal form D of a matrix A, with unimodular U and V such
+    that U @ A @ V == D.
 
     The diagonal entries are nonnegative and each divides the next, with
-    zeros trailing, which makes D unique for a given A.
+    zeros trailing, which makes D unique for a given A.  ``diagonal``,
+    ``rank`` and ``D`` come from the bounded route of
+    :func:`smith_normal_form`.  U and V are built by explicit transform
+    elimination the first time either is read, because their entries can
+    grow far beyond any minor of A; that elimination's own diagonal must
+    agree with ``D``.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    def __init__(self, matrix: IntMatrix, diagonal: tuple):
+        self.matrix = matrix
+        self.diagonal = diagonal
+        self.rank = sum(1 for d in diagonal if d != 0)
+
+    @cached_property
+    def D(self) -> IntMatrix:
+        m, n = self.matrix.rows, self.matrix.cols
+        return IntMatrix([[self.diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)], cols=n)
+
+    @cached_property
+    def _transforms(self) -> tuple:
+        u, d, v = _smith_transforms(self.matrix)
+        assert d == self.D, f"transform elimination disagrees with the invariant factors of {self.matrix!r}"
+        return u, v
 
     @property
-    def diagonal(self) -> tuple:
-        return self.D.diagonal()
+    def U(self) -> IntMatrix:
+        return self._transforms[0]
 
     @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
+    def V(self) -> IntMatrix:
+        return self._transforms[1]
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -187,93 +191,226 @@ def _xgcd(a: int, b: int) -> tuple:
     return old_r, old_s, old_t
 
 
-def _row_combine(mat, i, j, x, y, u, v):
-    """rows i, j of mat become (x*row_i + y*row_j, u*row_i + v*row_j)."""
+def _row_combine(mat, i, j, x, y, u, v, modulus=0):
+    """rows i, j of mat become (x*row_i + y*row_j, u*row_i + v*row_j),
+    reduced modulo ``modulus`` unless it is 0."""
     ri, rj = mat[i], mat[j]
     mat[i] = [x * a + y * b for a, b in zip(ri, rj)]
     mat[j] = [u * a + v * b for a, b in zip(ri, rj)]
+    if modulus:
+        mat[i] = [e % modulus for e in mat[i]]
+        mat[j] = [e % modulus for e in mat[j]]
 
 
-def _col_combine(mat, i, j, x, y, u, v):
-    """columns i, j of mat become (x*col_i + y*col_j, u*col_i + v*col_j)."""
+def _col_combine(mat, i, j, x, y, u, v, modulus=0):
+    """columns i, j of mat become (x*col_i + y*col_j, u*col_i + v*col_j),
+    reduced modulo ``modulus`` unless it is 0."""
     for row in mat:
         a, b = row[i], row[j]
         row[i] = x * a + y * b
         row[j] = u * a + v * b
+        if modulus:
+            row[i] %= modulus
+            row[j] %= modulus
+
+
+def _bareiss(m: list, ncols: int, jordan: bool = False) -> tuple:
+    """Fraction-free (Bareiss) elimination of the rows ``m``, in place.
+
+    Pivots are taken column by column, swapping rows.  Returns the pivot
+    columns, the last pivot and the sign of the row permutation.  With
+    ``jordan`` the rows above each pivot are cleared too, so that every
+    pivot row ends with the last pivot in its own pivot column and zeros
+    in the others.  Each division is exact: after a pivot step every
+    entry is a minor of the input, the last pivot being the minor on
+    the pivot rows and columns.
+
+    >>> m = [[2, 4, 6], [6, 8, 10]]
+    >>> _bareiss(m, 3, jordan=True), m
+    (([0, 1], -8, 1), [[-8, 0, 8], [0, -8, -16]])
+    """
+    last, sign, pivots = 1, 1, []
+    for col in range(ncols):
+        r = len(pivots)
+        for row in range(r, len(m)):
+            if m[row][col]:
+                break
+        else:
+            continue
+        if row != r:
+            m[r], m[row] = m[row], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[col]
+        for i in range(len(m)) if jordan else range(r + 1, len(m)):
+            if i != r:
+                f = m[i][col]
+                m[i] = [(x * p - f * y) // last for x, y in zip(m[i], prow)]
+        pivots.append(col)
+        last = p
+    return pivots, last, sign
+
+
+def _unit_pivots(rows: list, ncols: int) -> tuple:
+    """Eliminate on +-1 entries while any are left, in place.
+
+    Each step removes a pivot row and its column and subtracts multiples
+    of the pivot row from the others: the exact Schur complement, whose
+    entries are minors of the input because the pivot block has
+    determinant +-1.  Zero rows are dropped at the end.  Returns the
+    input indices of the columns left and, per step, (column, pivot,
+    the pivot row's other nonzero entries by input column), which is
+    what back-substitution needs.
+
+    >>> rows = [[2, 1, 3], [4, 6, 2]]
+    >>> _unit_pivots(rows, 3), rows
+    (([0, 2], [(1, 1, [(0, 2), (2, 3)])]), [[-8, -16]])
+    """
+    cols = list(range(ncols))
+    steps = []
+    while True:
+        i = next((i for i, row in enumerate(rows) if 1 in row or -1 in row), None)
+        if i is None:
+            break
+        prow = rows.pop(i)
+        j = next(j for j, x in enumerate(prow) if x == 1 or x == -1)
+        s = prow.pop(j)
+        steps.append((cols.pop(j), s, [(c, x) for c, x in zip(cols, prow) if x]))
+        for row in rows:
+            f = row.pop(j) * s
+            if f:
+                row[:] = [x - f * y for x, y in zip(row, prow)]
+    rows[:] = [row for row in rows if any(row)]
+    return cols, steps
+
+
+def _smith_eliminate(d: list, ncols: int, modulus: int = 0, u: Optional[list] = None, v: Optional[list] = None) -> int:
+    """Diagonalize the rows ``d`` in place by unimodular row and column
+    operations; returns the number t of pivots, after which the trailing
+    block is 0.
+
+    Each pivot starts as the smallest nonzero entry in absolute value.
+    Entries it divides are cleared by subtraction; any other entry is
+    cleared by a gcd step, which strictly lowers the pivot.  Row
+    operations also act on the rows of ``u`` and column operations on
+    the rows of ``v``.  With a nonzero ``modulus`` every entry of the
+    three is reduced modulo it after each operation, so nothing exceeds
+    2 * modulus**2 before reduction; the inputs must be residues.
+
+    >>> d = [[0, 0, 3, 3], [2, 4, 0, 0]]
+    >>> _smith_eliminate(d, 4, modulus=6), d
+    (2, [[2, 0, 0, 0], [0, 3, 0, 0]])
+    """
+    rowmats = (d,) if u is None else (d, u)
+    colmats = (d,) if v is None else (d, v)
+    m, t = len(d), 0
+    while True:
+        best = None
+        for i in range(t, m):
+            tail = d[i][t:]
+            if any(tail):
+                x = min(map(abs, filter(None, tail)))
+                if best is None or x < best[0]:
+                    best = (x, i)
+        if best is None:
+            return t
+        x, i = best
+        j = next(j for j in range(t, ncols) if abs(d[i][j]) == x)
+        if i != t:
+            for mat in rowmats:
+                mat[t], mat[i] = mat[i], mat[t]
+        if j != t:
+            for mat in colmats:
+                for row in mat:
+                    row[t], row[j] = row[j], row[t]
+        while True:
+            for i in range(t + 1, m):
+                p, b = d[t][t], d[i][t]
+                if b == 0:
+                    continue
+                if b % p == 0:
+                    q = b // p
+                    for mat in rowmats:
+                        if modulus:
+                            mat[i] = [(x - q * y) % modulus for x, y in zip(mat[i], mat[t])]
+                        else:
+                            mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
+                else:
+                    g, x, y = _xgcd(p, b)
+                    for mat in rowmats:
+                        _row_combine(mat, t, i, x, y, -(b // g), p // g, modulus)
+            below_clear = True
+            for j in range(t + 1, ncols):
+                p, b = d[t][t], d[t][j]
+                if b == 0:
+                    continue
+                if b % p == 0:
+                    q = b // p
+                    d[t][j] = 0
+                    # rows of d above t are 0 in column t, and so are the
+                    # rows below it until a gcd step fills that column
+                    for row in (v or []) + ([] if below_clear else d[t + 1 :]):
+                        row[j] -= q * row[t]
+                        if modulus:
+                            row[j] %= modulus
+                else:
+                    g, x, y = _xgcd(p, b)
+                    for mat in colmats:
+                        _col_combine(mat, t, j, x, y, -(b // g), p // g, modulus)
+                    below_clear = False
+            if not any(d[i][t] for i in range(t + 1, m)):
+                break
+        t += 1
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix.
 
+    The invariant factors come from a route on which every stored
+    integer is a minor of A or a residue modulo one.  So none exceeds the
+    Hadamard bound H of A, the product of max(1, Euclidean length) over
+    its columns, and a product formed before an exact division or a
+    reduction stays below 2 * H**2:
+
+    1. pivots on +-1 entries contribute factors 1, and their Schur
+       complement S has minors of A as entries;
+    2. Bareiss elimination of S gives its rank r and a nonzero r x r
+       minor delta, its entries again minors of A;
+    3. the invariant factors d_1 | ... | d_r of S divide delta.  Smith
+       elimination of S modulo |delta| leaves diagonal residues e_i, and
+       the gcd/lcm merges of the gcd(e_i, |delta|) give d_1, ..., d_r.
+       The elimination goes on until the trailing block is 0 modulo
+       |delta|, not only up to r, since a factor can hide in a residue
+       beyond the rank.
+
+    The unimodular transforms are built only when ``U`` or ``V`` is read.
+
     >>> s = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> s.diagonal
     (2, 4)
     """
+    rest = [list(row) for row in a.data]
+    cols, steps = _unit_pivots(rest, a.cols)
+    pivots, last, _ = _bareiss([list(row) for row in rest], len(cols))
+    r, modulus = len(pivots), abs(last)
+    residues = [[x % modulus for x in row] for row in rest]
+    t = _smith_eliminate(residues, len(cols), modulus)
+    factors = [gcd(residues[i][i], modulus) for i in range(t)] + [modulus] * (r - t)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    tail = min(a.rows, a.cols) - len(steps) - r
+    return SmithDecomposition(a, (1,) * len(steps) + tuple(factors[:r]) + (0,) * tail)
+
+
+def _smith_transforms(a: IntMatrix) -> tuple:
+    """(U, D, V) by exact Smith elimination with explicit transforms."""
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for mat in (d, v):
-                for row in mat:
-                    row[i], row[j] = row[j], row[i]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # Smallest nonzero entry of the trailing submatrix as pivot.
-        best = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
-
-        while True:
-            for i in range(t + 1, m):
-                b = d[i][t]
-                if b == 0:
-                    continue
-                p = d[t][t]
-                if b % p == 0:
-                    q = b // p
-                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                else:
-                    g, x, y = _xgcd(p, b)
-                    _row_combine(d, t, i, x, y, -(b // g), p // g)
-                    _row_combine(u, t, i, x, y, -(b // g), p // g)
-            for j in range(t + 1, n):
-                b = d[t][j]
-                if b == 0:
-                    continue
-                p = d[t][t]
-                if b % p == 0:
-                    q = b // p
-                    for mat in (d, v):
-                        for row in mat:
-                            row[j] -= q * row[t]
-                else:
-                    g, x, y = _xgcd(p, b)
-                    _col_combine(d, t, j, x, y, -(b // g), p // g)
-                    _col_combine(v, t, j, x, y, -(b // g), p // g)
-            if all(d[i][t] == 0 for i in range(t + 1, m)) and all(d[t][j] == 0 for j in range(t + 1, n)):
-                break
-        t += 1
-
-    rank = t
+    rank = _smith_eliminate(d, n, u=u, v=v)
     for i in range(rank):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
@@ -297,7 +434,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 for row in mat:
                     row[j] -= c * row[i]
 
-    return SmithDecomposition(U=IntMatrix(u, cols=m), D=IntMatrix(d, cols=n), V=IntMatrix(v, cols=n))
+    return IntMatrix(u, cols=m), IntMatrix(d, cols=n), IntMatrix(v, cols=n)
 
 
 def hermite_reduce(vectors: Sequence[Sequence[int]]) -> tuple:
@@ -351,13 +488,48 @@ def kernel_basis(a: IntMatrix) -> tuple:
     returned vectors are primitive; they are normalized to row Hermite
     form for determinism.
 
+    Up to the final Hermite reduction, entries stay within a factor
+    polynomial in the shape of the Hadamard bound H of A (see
+    :func:`smith_normal_form`).  After the +-1 pivots, fraction-free
+    Gauss-Jordan elimination of the remainder S puts delta on each of its
+    r pivot columns and minors of A in its free columns F.  An integer z
+    is in ker S exactly when its free part y satisfies M y = 0 modulo
+    |delta|, M being the free columns of the pivot rows; its pivot part
+    is then -M y / delta, below |F| * H.  A Hermite basis of those y,
+    with entries below |delta| <= H, comes from Smith elimination of M
+    modulo |delta|.  Back-substitution through the +-1 pivots, whose
+    inverse block holds minors of A, lifts each z to a kernel vector
+    of A.
+
     >>> kernel_basis(IntMatrix([[1, 1, 1]]))
     ((1, 0, -1), (0, 1, -1))
     """
-    snf = smith_normal_form(a)
-    r = snf.rank
-    vectors = [snf.V.column(j) for j in range(r, a.cols)]
-    return hermite_reduce(vectors)
+    rest = [list(row) for row in a.data]
+    cols, steps = _unit_pivots(rest, a.cols)
+    pivots, last, _ = _bareiss(rest, len(cols), jordan=True)
+    free = sorted(set(range(len(cols))) - set(pivots))
+    modulus, k = abs(last), len(free)
+    v = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    residues = [[rest[i][f] % modulus for f in free] for i in range(len(pivots))]
+    t = _smith_eliminate(residues, k, modulus, v=v)
+    # y = V w solves M y = 0 mod |delta| when e_j w_j = 0 mod |delta|; V
+    # is known modulo |delta| only, so |delta| Z^k joins the generators
+    scale = [modulus // gcd(residues[j][j] if j < t else 0, modulus) for j in range(k)]
+    lattice = hermite_reduce(
+        [[v[i][j] * scale[j] % modulus for i in range(k)] for j in range(k)]
+        + [[modulus if i == j else 0 for i in range(k)] for j in range(k)]
+    )
+    basis = []
+    for y in lattice:
+        x = [0] * a.cols
+        for f, yf in zip(free, y):
+            x[cols[f]] = yf
+        for row, p in zip(rest, pivots):
+            x[cols[p]] = -sum(row[f] * yf for f, yf in zip(free, y)) // last
+        for q, s, entries in reversed(steps):
+            x[q] = -s * sum(x[c] * e for c, e in entries)
+        basis.append(x)
+    return hermite_reduce(basis)
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -372,10 +544,11 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """
     if len(b) != a.rows:
         raise ValueError(f"right hand side of length {len(b)} against {a.rows}x{a.cols} matrix")
-    snf = smith_normal_form(a)
-    c = snf.U.mul_vec(b)
+    # the solution needs U and V, so the transform elimination is the route
+    u, smith, v = _smith_transforms(a)
+    c = u.mul_vec(b)
     y = [0] * a.cols
-    diag = snf.diagonal
+    diag = smith.diagonal()
     for i, ci in enumerate(c):
         d = diag[i] if i < len(diag) else 0
         if d == 0:
@@ -385,6 +558,6 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
             if ci % d != 0:
                 return None
             y[i] = ci // d
-    x = snf.V.mul_vec(y)
+    x = v.mul_vec(y)
     assert a.mul_vec(x) == tuple(b)
     return x

@@ -143,6 +143,18 @@ def test_parse_failures_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_deeply_nested_document_exits_2(capsys):
+    doc = '{"facts": ' + "[" * 5000 + "]" * 5000 + "}"
+    assert main(["sg-bounds", "--input", doc]) == 2
+    assert capsys.readouterr().err == "error: document: nested too deeply to parse\n"
+
+
+def test_overlong_integer_literal_exits_2(capsys):
+    doc = '{"facts": [{"kind": "positive-tb", "subject": {"type": "unknot", "tb": ' + "1" * 5000 + ', "rot": 0}}]}'
+    assert main(["sg-bounds", "--input", doc]) == 2
+    assert capsys.readouterr().err == "error: document: an integer literal has too many digits\n"
+
+
 def test_computation_failures_exit_1(capsys):
     assert main(["rot", "--input", AMBIGUOUS]) == 1
     err = capsys.readouterr().err

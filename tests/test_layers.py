@@ -2,11 +2,13 @@
 
 Each module in README's layer table imports only modules listed above it
 (and ``errors``, which every layer shares), and no module imports a
-private name from another.
+private name from another.  Absolute imports come from the standard
+library only, since the package has no runtime dependencies.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,3 +42,17 @@ def test_modules_import_only_layers_above_and_no_private_names():
             if module in order and target != "errors" and target not in order[: order.index(module)]:
                 problems.append(f"{module} imports {target}, which is not above it in README's layer table")
     assert not problems, problems
+
+
+def test_absolute_imports_are_standard_library():
+    outside = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside |= {f"{path.stem}: {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names}
+    assert not outside, sorted(outside)

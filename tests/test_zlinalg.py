@@ -109,6 +109,53 @@ def test_smith_zero_and_empty():
     assert z.rank == 0
 
 
+@pytest.mark.parametrize(
+    "a, diagonal",
+    [
+        # no +-1 entry anywhere, so the whole matrix takes the modular
+        # route (as does the frozen example above); delta = 6 and the
+        # residues 4 and 3 only jointly give the factor 1
+        (IntMatrix([[6, 10, 15]]), (1,)),
+        # rank 1, delta = 6; stopping the modular elimination at the rank
+        # would leave the factor 2 from the second row's residues
+        (IntMatrix([[-6, 6, 9, 9], [-4, 4, 6, 6]]), (1, 0)),
+        # the last factor equals |delta|, so its residue is 0
+        (IntMatrix([[2, 0], [0, 3]]), (1, 6)),
+        (IntMatrix([[6]]), (6,)),
+        (IntMatrix.zero(3, 2), (0, 0)),
+        (IntMatrix.zero(0, 3), ()),
+        (IntMatrix.zero(2, 0), ()),
+        # unit pivots first, then a remainder without units
+        (IntMatrix([[1, 2, 3], [4, 6, 8], [5, 10, 15]]), (1, 2, 0)),
+    ],
+)
+def test_smith_edge_cases_agree_with_the_transforms(a, diagonal):
+    s = smith_normal_form(a)
+    assert s.diagonal == diagonal
+    assert s.rank == sum(1 for d in diagonal if d)
+    assert s.U @ a @ s.V == s.D
+    assert abs(s.U.determinant()) == 1 and abs(s.V.determinant()) == 1
+
+
+def test_kernel_edge_cases():
+    assert kernel_basis(IntMatrix.zero(0, 3)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert kernel_basis(IntMatrix.zero(2, 0)) == ()
+    assert kernel_basis(IntMatrix([[2, 4], [6, 8]])) == ()
+    # fraction-free elimination gives (-2, 4, 0) and (-2, 0, 4); even
+    # without their content 2 they span an index-2 sublattice, which
+    # misses (0, 1, -1)
+    a = IntMatrix([[4, 2, 2]])
+    basis = kernel_basis(a)
+    assert basis == ((1, 0, -2), (0, 1, -1))
+    assert smith_normal_form(IntMatrix(basis)).diagonal == (1, 1)
+    assert hermite_reduce(smith_normal_form(a).V.column(j) for j in (1, 2)) == basis
+
+
+def test_determinant_is_the_product_of_invariant_factors():
+    a = random_matrix(random.Random(1), 60, 60)
+    assert math.prod(smith_normal_form(a).diagonal) == abs(a.determinant())
+
+
 def test_kernel_basis_hand_checked():
     assert kernel_basis(IntMatrix([[1, 1, 1]])) == ((1, 0, -1), (0, 1, -1))
     assert kernel_basis(IntMatrix([[1, 0], [0, 1]])) == ()
