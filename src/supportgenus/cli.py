@@ -16,6 +16,7 @@ Exit codes: 0 on success, 1 when a computation or derivation fails
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -212,6 +213,7 @@ def _cmd_verify() -> Tuple[str, dict, int]:
     return "\n".join(lines) + "\n", machine, 0 if passed == len(outcomes) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supportgenus",

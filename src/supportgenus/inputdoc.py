@@ -58,12 +58,9 @@ from .errors import ToolkitError
 from .hfbook import FormalHFModule, SpincSlot, hf_plus_surgery
 from .ribbon import CurveClass, OpenBook, RibbonSurface
 from .sgengine import (
-    CLASSIFICATION_AXIOM,
     FACT_KINDS,
-    NONPLANAR_SURGERY,
     ORIENTATION_MIRROR,
     PAGE_WITNESS,
-    POSITIVE_TB,
     STABILIZATION_OF,
     LegendrianDesc,
     SGFact,

@@ -200,9 +200,6 @@ class RibbonSurface:
         pair = (i, j) if i <= j else (j, i)
         return self._crossmap.get(pair, 0)
 
-    def foot_positions(self, band: int) -> Tuple[int, int]:
-        return self._positions[band]
-
     @property
     def intersection(self) -> Tuple[Tuple[int, ...], ...]:
         return self._iform

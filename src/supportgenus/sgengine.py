@@ -18,17 +18,20 @@ Rules:
 * R6  orientation mirrors have equal support genus, so their intervals
       are intersected.
 
-Each rule only raises lo or lowers hi, so the fixed point exists, is
-reached in finitely many sweeps, and does not depend on fact order.
-Descriptors with equal (topo_type, tb, rot) are identified; fixtures
-that rely on such identifications carry classification-axiom facts
-recording why the identification is legitimate.
+Each fact compiles once into moves that only raise lo or lower hi, so
+the fixed point exists and does not depend on fact order; a fact runs
+again only when a descriptor it reads has changed, so the work follows
+the bound changes, not facts x sweeps.  Descriptors with equal
+(topo_type, tb, rot) are identified; fixtures that rely on such
+identifications carry classification-axiom facts recording why the
+identification is legitimate.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ToolkitError
 
@@ -183,12 +186,6 @@ class SGFactBase:
         self.facts.append(fact)
         return fact
 
-    def stabilize_desc(self, desc: LegendrianDesc, sign: int) -> LegendrianDesc:
-        """Record one stabilization step and return the child descriptor."""
-        child = stabilized(desc, sign)
-        self.add(SGFact(kind=STABILIZATION_OF, subject=child, parent=desc, sign=sign))
-        return child
-
     def descriptors(self) -> Tuple[LegendrianDesc, ...]:
         seen: Dict[LegendrianDesc, LegendrianDesc] = {}
         for fact in self.facts:
@@ -263,11 +260,27 @@ class _Cell:
         self.hi: Optional[int] = None
         self.trace: List[TraceStep] = []
 
-    def last_step(self, bound: str) -> TraceStep:
-        for step in reversed(self.trace):
-            if step.bound == bound:
-                return step
-        raise AssertionError("no recorded step for bound " + bound)
+
+# The rules as data.  Given a fact and its description, each kind
+# compiles to moves (bound, target, source, constant, rule, reason), in
+# the order a sweep applies them; a move tightens one bound of its target
+# to the constant, or to the same bound of its source.  Classification
+# axioms carry no bound; they justify identifications the fixtures make.
+_RULES: Dict[str, Callable[[SGFact, str], Tuple[tuple, ...]]] = {
+    PAGE_WITNESS: lambda f, why: (("hi", f.subject, None, f.genus, "R1", why),),
+    POSITIVE_TB: lambda f, why: (("lo", f.subject, None, 1, "R3", why),),
+    NONPLANAR_SURGERY: lambda f, why: (("lo", f.subject, None, 1, "R5", why),),
+    STABILIZATION_OF: lambda f, why: (
+        ("hi", f.subject, f.parent, None, "R2", why + ", upper bound inherited"),
+        ("lo", f.parent, f.subject, None, "R2", why + ", lower bound inherited"),
+    ),
+    ORIENTATION_MIRROR: lambda f, why: tuple(
+        (bound, one, two, None, "R6", why)
+        for one, two in ((f.subject, f.other), (f.other, f.subject))
+        for bound in ("lo", "hi")
+    ),
+    CLASSIFICATION_AXIOM: lambda f, why: (),
+}
 
 
 def derive_bounds(base: SGFactBase) -> Dict[LegendrianDesc, SGInterval]:
@@ -278,66 +291,49 @@ def derive_bounds(base: SGFactBase) -> Dict[LegendrianDesc, SGInterval]:
     for every improvement and can be replayed with
     :func:`replay_trace`.  An empty interval raises
     :class:`InconsistentFactsError` naming the clashing justifications.
+
+    Sweeps run the facts in ascending index, but only the dirty ones: all
+    in the first sweep, later those reading a cell that changed since
+    they last ran.  A change made while fact i runs makes each reader
+    j > i dirty in this sweep and each reader j <= i (i too) in the next.
+    A clean fact cannot tighten anything, as its sources are unchanged
+    and its targets only tighter, so the steps, traces and clash are
+    those of re-running every fact until a sweep changes nothing.
     """
-    cells: Dict[LegendrianDesc, _Cell] = {}
+    cells = {desc: _Cell() for desc in base.descriptors()}
+    moves = [_RULES[fact.kind](fact, fact.describe()) for fact in base.facts]
+    readers: Dict[LegendrianDesc, List[int]] = {desc: [] for desc in cells}
+    for index, fact_moves in enumerate(moves):
+        for source in dict.fromkeys(move[2] for move in fact_moves if move[2] is not None):
+            readers[source].append(index)
 
-    def cell(desc: LegendrianDesc) -> _Cell:
-        if desc not in cells:
-            cells[desc] = _Cell()
-        return cells[desc]
-
-    for desc in base.descriptors():
-        cell(desc)
-
-    def raise_lo(desc: LegendrianDesc, value: int, rule: str, reason: str) -> bool:
-        c = cell(desc)
-        if value <= c.lo:
+    def tighten(desc: LegendrianDesc, bound: str, value: int, rule: str, reason: str) -> bool:
+        c = cells[desc]
+        old = getattr(c, bound)
+        if old is not None and (value <= old if bound == "lo" else value >= old):
             return False
-        c.lo = value
-        c.trace.append(TraceStep(rule=rule, bound="lo", value=value, reason=reason))
+        setattr(c, bound, value)
+        c.trace.append(TraceStep(rule=rule, bound=bound, value=value, reason=reason))
         if c.hi is not None and c.lo > c.hi:
-            raise InconsistentFactsError(desc, c.last_step("lo"), c.last_step("hi"))
+            last = {step.bound: step for step in c.trace}
+            raise InconsistentFactsError(desc, last["lo"], last["hi"])
         return True
 
-    def lower_hi(desc: LegendrianDesc, value: int, rule: str, reason: str) -> bool:
-        c = cell(desc)
-        if c.hi is not None and value >= c.hi:
-            return False
-        c.hi = value
-        c.trace.append(TraceStep(rule=rule, bound="hi", value=value, reason=reason))
-        if c.lo > c.hi:
-            raise InconsistentFactsError(desc, c.last_step("lo"), c.last_step("hi"))
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for fact in base.facts:
-            if fact.kind == PAGE_WITNESS:
-                changed |= lower_hi(fact.subject, fact.genus, "R1", fact.describe())
-            elif fact.kind == POSITIVE_TB:
-                changed |= raise_lo(fact.subject, 1, "R3", fact.describe())
-            elif fact.kind == NONPLANAR_SURGERY:
-                changed |= raise_lo(fact.subject, 1, "R5", fact.describe())
-            elif fact.kind == STABILIZATION_OF:
-                parent, child = fact.parent, fact.subject
-                parent_hi = cell(parent).hi
-                if parent_hi is not None:
-                    changed |= lower_hi(child, parent_hi, "R2", fact.describe() + ", upper bound inherited")
-                child_lo = cell(child).lo
-                if child_lo > 0:
-                    changed |= raise_lo(parent, child_lo, "R2", fact.describe() + ", lower bound inherited")
-            elif fact.kind == ORIENTATION_MIRROR:
-                a, b = fact.subject, fact.other
-                for one, two in ((a, b), (b, a)):
-                    lo_two = cell(two).lo
-                    if lo_two > 0:
-                        changed |= raise_lo(one, lo_two, "R6", fact.describe())
-                    hi_two = cell(two).hi
-                    if hi_two is not None:
-                        changed |= lower_hi(one, hi_two, "R6", fact.describe())
-            # classification-axiom facts carry no bound of their own;
-            # they justify keying identifications made by the fixtures.
+    queue = [(0, index) for index in range(len(moves))]  # (sweep, fact), a sorted heap
+    queued = set(range(len(moves)))
+    while queue:
+        sweep, index = heapq.heappop(queue)
+        queued.discard(index)
+        for bound, target, source, value, rule, reason in moves[index]:
+            if source is not None:
+                value = getattr(cells[source], bound)
+                if value is None:
+                    continue
+            if tighten(target, bound, value, rule, reason):
+                for reader in readers[target]:
+                    if reader not in queued:
+                        queued.add(reader)
+                        heapq.heappush(queue, (sweep + (reader <= index), reader))
 
     return {
         desc: SGInterval(lo=c.lo, hi=c.hi, trace=tuple(c.trace))

@@ -287,7 +287,9 @@ def _transvection_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
     return True, ""
 
 
-def _random_fact_base(rng: random.Random) -> List[SGFact]:
+def random_fact_base(rng: random.Random) -> List[SGFact]:
+    """A stabilization tree with page witnesses of genus 1..3, nonplanar
+    surgeries and orientation mirrors; lo never exceeds 1, so no clash."""
     facts: List[SGFact] = []
     root = LegendrianDesc("rand", rng.randint(-2, 2), rng.choice((-1, 0, 1)))
     nodes = [root]
@@ -316,7 +318,7 @@ def _intervals(facts) -> dict:
 
 def _derivation_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
     for _ in range(count):
-        facts = _random_fact_base(rng)
+        facts = random_fact_base(rng)
         partial = _intervals(facts[: len(facts) // 2])
         full = _intervals(facts)
         for desc, (lo, hi) in partial.items():

@@ -3,7 +3,8 @@
 Each module in README's layer table imports only modules listed above it
 (and ``errors``, which every layer shares), and no module imports a
 private name from another.  Absolute imports come from the standard
-library only, since the package has no runtime dependencies.
+library only, since the package has no runtime dependencies.  Every
+imported name is used by the module that imports it.
 """
 
 import ast
@@ -56,3 +57,21 @@ def test_absolute_imports_are_standard_library():
                 continue
             outside |= {f"{path.stem}: {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names}
     assert not outside, sorted(outside)
+
+
+def test_every_imported_name_is_used():
+    """``__init__`` re-exports its imports, so it is left out."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in imported if name not in used]
+    assert not unused, unused
