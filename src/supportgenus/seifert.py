@@ -16,6 +16,17 @@ Consequently V - V^T = -J; the package fixes this sign once and tests
 pin it.  The page framing of a class K is the value K^T V K of the
 associated quadratic form, which is exactly the Thurston-Bennequin
 invariant of a Legendrian realization of K on a supporting page.
+
+K^T V K depends only on the symmetric part V + V^T, whose diagonal is
+2 (t_i + c_ii) and whose off-diagonal entries are the crossing counts
+c_ij, since (c_ij - J_ij) / 2 + (c_ij + J_ij) / 2 = c_ij.  Over the
+support S = {i : k_i != 0} of K this gives
+
+    K^T V K = sum_{i in S} k_i^2 (t_i + c_ii) + sum_{i < j in S} k_i k_j c_ij,
+
+so the page framing reads O(|S|^2) twists and crossing counts and builds
+no matrix; :func:`seifert_matrix` stays as the pairing itself and as
+the dense route the tests compare it against.
 """
 
 from __future__ import annotations
@@ -72,8 +83,21 @@ def page_framing_self_linking(surface: RibbonSurface, curve: CurveClass) -> int:
     tight contact structure this is the Thurston-Bennequin invariant of
     the Legendrian realization of K.  The value is quadratic in the
     class and insensitive to orientation reversal.
+
+    Evaluated over the support S of K as sum_{i in S} k_i^2 (t_i + c_ii)
+    + sum_{i < j in S} k_i k_j c_ij, which costs O(|S|^2) lookups of
+    twists and crossing counts, whatever the number of bands.
+
+    >>> from .ribbon import build_surface
+    >>> surface = build_surface(2, [0, 1, 0, 1], twists=(-1, 5), crossings={(0, 1): -1})
+    >>> page_framing_self_linking(surface, CurveClass(surface, (1, 1)))
+    3
     """
     require_same_surface(surface, curve)
-    v = seifert_matrix(surface).pairing
-    k = curve.coefficients
-    return sum(k[i] * sum(v[i, j] * k[j] for j in range(len(k))) for i in range(len(k)))
+    support = [(i, k) for i, k in enumerate(curve.coefficients) if k]
+    tb = 0
+    for pos, (i, ki) in enumerate(support):
+        tb += ki * ki * (surface.twists[i] + surface.crossing_count(i, i))
+        for j, kj in support[pos + 1 :]:
+            tb += ki * kj * surface.crossing_count(i, j)
+    return tb

@@ -1,8 +1,9 @@
 import random
+import time
 
 from supportgenus.ribbon import CurveClass, OpenBook, build_surface, intersection_form, stabilize
 from supportgenus.seifert import page_framing_self_linking, seifert_matrix
-from supportgenus.verify import random_surface
+from supportgenus.verify import dense_framing, random_page, random_surface
 from supportgenus.zlinalg import IntMatrix
 
 
@@ -81,3 +82,38 @@ def test_new_band_core_has_framing_minus_one():
         book = stabilize(OpenBook(page=surface, monodromy=()), insert_at=(p, q))
         core = CurveClass(book.page, (0,) * n + (1,))
         assert page_framing_self_linking(book.page, core) == -1
+
+
+def test_support_formula_matches_dense_pairing():
+    rng = random.Random(41)
+    for _ in range(150):
+        surface = random_surface(rng, max_bands=8)
+        n = surface.band_count
+        sparse = [0] * n
+        for i in rng.sample(range(n), rng.randint(1, min(3, n))):
+            sparse[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+        dense = [rng.randint(-3, 3) for _ in range(n)]
+        v = seifert_matrix(surface).pairing
+        for coeffs in (tuple(sparse), tuple(dense), (0,) * n):
+            got = page_framing_self_linking(surface, CurveClass(surface, coeffs))
+            assert got == dense_framing(v, coeffs), (surface, coeffs)
+
+
+def test_framing_cost_follows_the_support_not_the_page():
+    # the Seifert matrix of this page takes about 60 ms to build on a
+    # 2-vCPU Xeon VM, so one build per curve would take about 25 s
+    rng = random.Random(43)
+    surface = random_page(rng, 400)
+    curves = []
+    for _ in range(400):
+        coeffs = [0] * 400
+        for i in rng.sample(range(400), 6):
+            coeffs[i] = rng.choice((-2, -1, 1, 2))
+        curves.append(CurveClass(surface, tuple(coeffs)))
+    start = time.perf_counter()
+    framings = [page_framing_self_linking(surface, curve) for curve in curves]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    v = seifert_matrix(surface).pairing
+    for curve, framing in list(zip(curves, framings))[:10]:
+        assert framing == dense_framing(v, curve.coefficients)

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from supportgenus import verify
 from supportgenus.fixtures import load_fixture
 from supportgenus.sgengine import (
     CLASSIFICATION_AXIOM,
@@ -321,14 +322,24 @@ def test_random_fact_bases_derive_as_the_full_resweep():
     clashes = 0
     for _ in range(2000):
         facts = random_fact_base(rng)
-        if facts and rng.random() < 0.3:
-            # genus 0 somewhere makes many of these bases clash
-            facts.append(SGFact(kind=PAGE_WITNESS, subject=rng.choice(facts).subject, genus=0))
         rng.shuffle(facts)
         expected = outcome(full_resweep, facts)
         assert outcome(derive_bounds, facts) == expected
         clashes += isinstance(expected, tuple)
     assert clashes >= 100
+
+
+def test_criterion_9_derivation_bases_include_clashes(monkeypatch):
+    bases = []
+
+    def recorded(rng):
+        bases.append(random_fact_base(rng))
+        return bases[-1]
+
+    monkeypatch.setattr(verify, "random_fact_base", recorded)
+    assert verify.run_criterion(9).passed
+    assert len(bases) == 60
+    assert any(isinstance(outcome(derive_bounds, facts), tuple) for facts in bases)
 
 
 @pytest.mark.parametrize("shape, size", [("chain", 120), ("mirror", 50), ("grid", 9)])
