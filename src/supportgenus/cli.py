@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import ToolkitError
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .hfbook import hf_hat, hf_red_rank
-from .inputdoc import InputDocument, InputFormatError, parse_text
+from .inputdoc import InputDocument, InputFormatError, json_text, parse_text
 from .ribbon import intersection_form
 from .seifert import page_framing_self_linking
 from .sgengine import LegendrianDesc, SGInterval, TraceStep, derive_bounds
@@ -257,7 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "machine":
-        report = json.dumps(machine, indent=2) + "\n"
+        report = json_text(machine) + "\n"
     elif args.command == "verify-paper":
         report = text
     else:

@@ -6,6 +6,12 @@ of keyed records.  Band and one-handle labels are 1-based in files and
 0-based in memory.  Unknown keys are rejected everywhere, and every
 diagnostic names the offending section, index, and field.
 
+A valid document builds no such location: each value is first tested
+in bulk or by exact type (``type(x) is int``, ``set(map(type, xs)) <=
+{int}``), and only a value that fails that test is walked again by the
+located checks, which raise with the first offender's location, or
+accept it when it is merely a subclass or a non-dict mapping.
+
 Annotated example::
 
     {
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ToolkitError
@@ -121,6 +128,12 @@ def _fail(location: str, message: str) -> None:
     raise InputFormatError(location, message)
 
 
+# The _expect_* checks are the located ones.  Parsing calls them only
+# after a quick ``type(x) is ...`` test has failed, so a valid document
+# builds no location string; they still accept whatever that test is too
+# strict for (a non-dict Mapping, a subclass of int, list or str).
+
+
 def _expect_mapping(value, location: str) -> Mapping:
     if not isinstance(value, Mapping):
         _fail(location, f"expected an object, got {type(value).__name__}")
@@ -157,19 +170,66 @@ def _expect_int_list(value, location: str) -> List[int]:
     return [_expect_int(v, f"{location}[{i}]") for i, v in enumerate(_expect_list(value, location))]
 
 
+def _expect_str_list(value, location: str) -> List[str]:
+    return [_expect_str(v, f"{location}[{i}]") for i, v in enumerate(_expect_list(value, location))]
+
+
+_ABSENT = object()
+
+
 class _Record:
-    """One record of a section, with unknown-key rejection on close."""
+    """One record of a section, with typed takes and unknown-key rejection
+    on close.  A take with ``required=False`` reads a null value as absent."""
+
+    __slots__ = ("location", "data")
 
     def __init__(self, raw, location: str):
         self.location = location
-        self.data = dict(_expect_mapping(raw, location))
+        self.data = dict(raw if type(raw) is dict else _expect_mapping(raw, location))
 
     def take(self, key: str, required: bool = False):
-        if key in self.data:
-            return self.data.pop(key)
-        if required:
-            _fail(self.location, f"missing required field {key!r}")
-        return None
+        value = self.data.pop(key, _ABSENT)
+        if value is _ABSENT:
+            if required:
+                _fail(self.location, f"missing required field {key!r}")
+            return None
+        return value
+
+    def str(self, key: str, required: bool = True):
+        value = self.take(key, required)
+        if type(value) is str or (value is None and not required):
+            return value
+        return _expect_str(value, self.at(key))
+
+    def int(self, key: str, required: bool = True):
+        value = self.take(key, required)
+        if type(value) is int or (value is None and not required):
+            return value
+        return _expect_int(value, self.at(key))
+
+    def sign(self, key: str, required: bool = True):
+        value = self.take(key, required)
+        if (type(value) is int and (value == 1 or value == -1)) or (value is None and not required):
+            return value
+        return _expect_sign(value, self.at(key))
+
+    def list(self, key: str, required: bool = True):
+        value = self.take(key, required)
+        if type(value) is list or (value is None and not required):
+            return value
+        return _expect_list(value, self.at(key))
+
+    def ints(self, key: str, required: bool = True):
+        value = self.take(key, required)
+        if (type(value) is list and set(map(type, value)) <= {int}) or (value is None and not required):
+            return value
+        return _expect_int_list(value, self.at(key))
+
+    def strs(self, key: str, required: bool = True):
+        value = self.take(key, required)
+        if (type(value) is list and set(map(type, value)) <= {str}) or (value is None and not required):
+            return value
+        return _expect_str_list(value, self.at(key))
 
     def close(self) -> None:
         if self.data:
@@ -181,7 +241,7 @@ class _Record:
 
 
 def _unique_name(rec: _Record, taken: Mapping[str, object]) -> str:
-    name = _expect_str(rec.take("name", required=True), rec.at("name"))
+    name = rec.str("name")
     if name in taken:
         _fail(rec.at("name"), f"duplicate name {name!r}")
     return name
@@ -191,6 +251,11 @@ def _signed_word(value, location: str) -> Tuple[Tuple[int, int], ...]:
     """Parse [[label, sign], ...] with 1-based labels into 0-based pairs."""
     word = []
     for i, entry in enumerate(_expect_list(value, location)):
+        if type(entry) is list and len(entry) == 2:
+            label, sign = entry
+            if type(label) is int and type(sign) is int and label >= 1 and (sign == 1 or sign == -1):
+                word.append((label - 1, sign))
+                continue
         here = f"{location}[{i}]"
         pair = _expect_list(entry, here)
         if len(pair) != 2:
@@ -203,38 +268,55 @@ def _signed_word(value, location: str) -> Tuple[Tuple[int, int], ...]:
     return tuple(word)
 
 
+def _crossings(entries: list, location: str, n: int) -> Dict[Tuple[int, int], int]:
+    """Crossing entries as {(i, j): count} with 0-based i <= j.  An entry
+    that fails the quick test goes through the located :func:`_crossing`."""
+    crossings: Dict[Tuple[int, int], int] = {}
+    for i, entry in enumerate(entries):
+        if type(entry) is dict and len(entry) == 2:
+            bands, count = entry.get("bands"), entry.get("count")
+            if type(bands) is list and len(bands) == 2 and type(count) is int:
+                a, b = bands
+                if type(a) is int and type(b) is int and 0 < a <= n and 0 < b <= n:
+                    key = (a - 1, b - 1) if a <= b else (b - 1, a - 1)
+                    if key not in crossings:
+                        crossings[key] = count
+                        continue
+        key, count = _crossing(_Record(entry, f"{location}[{i}]"), n, crossings)
+        crossings[key] = count
+    return crossings
+
+
+def _crossing(sub: _Record, n: int, seen) -> Tuple[Tuple[int, int], int]:
+    """The located check of one crossing entry: raises on the first fault,
+    or returns (pair, count) when only a subclass failed the quick test."""
+    bands = sub.ints("bands")
+    count = sub.int("count")
+    sub.close()
+    if len(bands) != 2:
+        _fail(sub.at("bands"), f"expected two band labels, got {len(bands)}")
+    a, b = bands
+    if not (1 <= a <= n and 1 <= b <= n):
+        _fail(sub.at("bands"), f"band pair {bands} must name bands in 1..{n}")
+    key = (min(a, b) - 1, max(a, b) - 1)
+    if key in seen:
+        _fail(sub.at("bands"), f"band pair {bands} listed twice")
+    return key, count
+
+
 def _parse_surface(rec: _Record) -> RibbonSurface:
-    feet_raw = _expect_int_list(rec.take("feet_order", required=True), rec.at("feet_order"))
+    feet_raw = rec.ints("feet_order")
     if len(feet_raw) % 2:
         _fail(rec.at("feet_order"), f"odd number of feet ({len(feet_raw)})")
     n = len(feet_raw) // 2
-    for i, label in enumerate(feet_raw):
-        if not 1 <= label <= n:
-            _fail(f"{rec.at('feet_order')}[{i}]", f"band label {label} outside 1..{n}")
+    if feet_raw and not (1 <= min(feet_raw) and max(feet_raw) <= n):
+        for i, label in enumerate(feet_raw):
+            if not 1 <= label <= n:
+                _fail(f"{rec.at('feet_order')}[{i}]", f"band label {label} outside 1..{n}")
     feet = [f - 1 for f in feet_raw]
-
-    twists_raw = rec.take("twists")
-    twists = None
-    if twists_raw is not None:
-        twists = _expect_int_list(twists_raw, rec.at("twists"))
-
-    crossings: Dict[Tuple[int, int], int] = {}
-    crossings_raw = rec.take("crossings")
-    if crossings_raw is not None:
-        for i, entry in enumerate(_expect_list(crossings_raw, rec.at("crossings"))):
-            sub = _Record(entry, f"{rec.at('crossings')}[{i}]")
-            bands = _expect_int_list(sub.take("bands", required=True), sub.at("bands"))
-            count = _expect_int(sub.take("count", required=True), sub.at("count"))
-            sub.close()
-            if len(bands) != 2:
-                _fail(sub.at("bands"), f"expected two band labels, got {len(bands)}")
-            a, b = bands
-            if not (1 <= a <= n and 1 <= b <= n):
-                _fail(sub.at("bands"), f"band pair {bands} must name bands in 1..{n}")
-            key = (min(a, b) - 1, max(a, b) - 1)
-            if key in crossings:
-                _fail(sub.at("bands"), f"band pair {bands} listed twice")
-            crossings[key] = count
+    twists = rec.ints("twists", required=False)
+    entries = rec.list("crossings", required=False)
+    crossings = _crossings(entries, rec.at("crossings"), n) if entries is not None else {}
     rec.close()
     try:
         return RibbonSurface(n, feet, twists, crossings)
@@ -243,11 +325,11 @@ def _parse_surface(rec: _Record) -> RibbonSurface:
 
 
 def _parse_curve(rec: _Record, surfaces: Mapping[str, RibbonSurface]) -> CurveRecord:
-    surface_name = _expect_str(rec.take("surface", required=True), rec.at("surface"))
+    surface_name = rec.str("surface")
     if surface_name not in surfaces:
         _fail(rec.at("surface"), f"dangling reference: no surface named {surface_name!r}")
     surface = surfaces[surface_name]
-    coefficients = tuple(_expect_int_list(rec.take("coefficients", required=True), rec.at("coefficients")))
+    coefficients = tuple(rec.ints("coefficients"))
     traversal_raw = rec.take("traversal")
     traversal = None
     if traversal_raw is not None:
@@ -261,22 +343,20 @@ def _parse_curve(rec: _Record, surfaces: Mapping[str, RibbonSurface]) -> CurveRe
 
 
 def _parse_open_book(rec: _Record, surfaces, curves) -> OpenBookRecord:
-    page_name = _expect_str(rec.take("page", required=True), rec.at("page"))
+    page_name = rec.str("page")
     if page_name not in surfaces:
         _fail(rec.at("page"), f"dangling reference: no surface named {page_name!r}")
     steps: List[Tuple[str, int]] = []
     word: List[Tuple[CurveClass, int]] = []
-    monodromy_raw = rec.take("monodromy")
-    if monodromy_raw is not None:
-        for i, entry in enumerate(_expect_list(monodromy_raw, rec.at("monodromy"))):
-            sub = _Record(entry, f"{rec.at('monodromy')}[{i}]")
-            curve_name = _expect_str(sub.take("curve", required=True), sub.at("curve"))
-            sign = _expect_sign(sub.take("sign", required=True), sub.at("sign"))
-            sub.close()
-            if curve_name not in curves:
-                _fail(sub.at("curve"), f"dangling reference: no curve named {curve_name!r}")
-            steps.append((curve_name, sign))
-            word.append((curves[curve_name].curve, sign))
+    for i, entry in enumerate(rec.list("monodromy", required=False) or ()):
+        sub = _Record(entry, f"{rec.at('monodromy')}[{i}]")
+        curve_name = sub.str("curve")
+        sign = sub.sign("sign")
+        sub.close()
+        if curve_name not in curves:
+            _fail(sub.at("curve"), f"dangling reference: no curve named {curve_name!r}")
+        steps.append((curve_name, sign))
+        word.append((curves[curve_name].curve, sign))
     rec.close()
     try:
         book = OpenBook(page=surfaces[page_name], monodromy=tuple(word))
@@ -286,7 +366,7 @@ def _parse_open_book(rec: _Record, surfaces, curves) -> OpenBookRecord:
 
 
 def _parse_stein_curve(rec: _Record, p: int) -> SteinCurve:
-    name = _expect_str(rec.take("name", required=True), rec.at("name"))
+    name = rec.str("name")
     runs_raw = rec.take("runs")
     runs: Optional[Tuple[Tuple[int, int], ...]] = None
     if runs_raw is not None:
@@ -294,9 +374,9 @@ def _parse_stein_curve(rec: _Record, p: int) -> SteinCurve:
         for i, (handle, _sign) in enumerate(runs):
             if handle >= p:
                 _fail(f"{rec.at('runs')}[{i}][0]", f"one-handle label {handle + 1} outside 1..{p}")
-    traversal_raw = rec.take("traversal")
+    traversal_raw = rec.ints("traversal", required=False)
     if traversal_raw is not None:
-        traversal = tuple(_expect_int_list(traversal_raw, rec.at("traversal")))
+        traversal = tuple(traversal_raw)
         if len(traversal) != p:
             _fail(rec.at("traversal"), f"traversal vector has length {len(traversal)}, expected {p}")
     elif runs is not None:
@@ -307,32 +387,28 @@ def _parse_stein_curve(rec: _Record, p: int) -> SteinCurve:
     else:
         _fail(rec.location, f"curve {name!r} needs a traversal vector or a runs word")
 
-    rotation_raw = rec.take("rotation")
-    if rotation_raw is not None:
-        rotation = _expect_int(rotation_raw, rec.at("rotation"))
-    elif runs is not None:
+    rotation = rec.int("rotation", required=False)
+    if rotation is None:
+        if runs is None:
+            _fail(
+                rec.location,
+                f"curve {name!r} has neither a runs word nor an explicit rotation; "
+                "the homology class alone does not determine the base rotation",
+            )
         rotation = base_rotation_planar(runs)
-    else:
-        _fail(
-            rec.location,
-            f"curve {name!r} has neither a runs word nor an explicit rotation; "
-            "the homology class alone does not determine the base rotation",
-        )
 
-    twist_sign_raw = rec.take("twist_sign")
-    twist_sign = 1 if twist_sign_raw is None else _expect_sign(twist_sign_raw, rec.at("twist_sign"))
+    twist_sign = rec.sign("twist_sign", required=False)
     rec.close()
-    return SteinCurve(name=name, traversal=traversal, rotation=rotation, runs=runs, twist_sign=twist_sign)
+    return SteinCurve(
+        name=name, traversal=traversal, rotation=rotation, runs=runs, twist_sign=1 if twist_sign is None else twist_sign
+    )
 
 
 def _parse_stein_problem(rec: _Record) -> SteinProblem:
-    handles_raw = _expect_list(rec.take("one_handles", required=True), rec.at("one_handles"))
-    one_handles = tuple(
-        _expect_str(h, f"{rec.at('one_handles')}[{i}]") for i, h in enumerate(handles_raw)
-    )
-    distinguished_name = _expect_str(rec.take("distinguished", required=True), rec.at("distinguished"))
+    one_handles = tuple(rec.strs("one_handles"))
+    distinguished_name = rec.str("distinguished")
     curves: List[SteinCurve] = []
-    for i, entry in enumerate(_expect_list(rec.take("curves", required=True), rec.at("curves"))):
+    for i, entry in enumerate(rec.list("curves")):
         curves.append(_parse_stein_curve(_Record(entry, f"{rec.at('curves')}[{i}]"), len(one_handles)))
     names = [c.name for c in curves]
     if distinguished_name not in names:
@@ -363,8 +439,8 @@ def _parse_hf_module(rec: _Record) -> FormalHFModule:
     slots: List[SpincSlot] = []
     for i, entry in enumerate(_expect_list(slots_raw, rec.at("slots"))):
         sub = _Record(entry, f"{rec.at('slots')}[{i}]")
-        towers = _expect_int(sub.take("towers", required=True), sub.at("towers"))
-        finite_z = _expect_int(sub.take("finite_z", required=True), sub.at("finite_z"))
+        towers = sub.int("towers")
+        finite_z = sub.int("finite_z")
         sub.close()
         try:
             slots.append(SpincSlot(towers=towers, finite_z=finite_z))
@@ -373,45 +449,48 @@ def _parse_hf_module(rec: _Record) -> FormalHFModule:
     return FormalHFModule(slots=tuple(slots))
 
 
-def _parse_descriptor(raw, location: str) -> LegendrianDesc:
-    rec = _Record(raw, location)
-    topo_type = _expect_str(rec.take("type", required=True), rec.at("type"))
-    tb = _expect_int(rec.take("tb", required=True), rec.at("tb"))
-    rot = _expect_int(rec.take("rot", required=True), rec.at("rot"))
-    tags_raw = rec.take("tags")
-    tags: Tuple[str, ...] = ()
-    if tags_raw is not None:
-        tags = tuple(
-            _expect_str(t, f"{rec.at('tags')}[{i}]") for i, t in enumerate(_expect_list(tags_raw, rec.at("tags")))
-        )
-    rec.close()
-    return LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot, tags=tags)
+def _descriptor(rec: _Record, key: str) -> LegendrianDesc:
+    raw = rec.take(key, required=True)
+    if type(raw) is dict and len(raw) == 3:
+        topo_type, tb, rot = raw.get("type"), raw.get("tb"), raw.get("rot")
+        if type(topo_type) is str and type(tb) is int and type(rot) is int:
+            return LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot)
+    sub = _Record(raw, rec.at(key))
+    topo_type = sub.str("type")
+    tb = sub.int("tb")
+    rot = sub.int("rot")
+    tags = sub.strs("tags", required=False)
+    sub.close()
+    return LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot, tags=() if tags is None else tuple(tags))
 
 
 def _parse_fact(rec: _Record) -> SGFact:
-    kind = _expect_str(rec.take("kind", required=True), rec.at("kind"))
+    kind = rec.str("kind")
     if kind not in FACT_KINDS:
         _fail(rec.at("kind"), f"unknown fact kind {kind!r}; known kinds: {', '.join(FACT_KINDS)}")
-    subject = _parse_descriptor(rec.take("subject", required=True), rec.at("subject"))
+    subject = _descriptor(rec, "subject")
     genus = parent = sign = other = None
     if kind == PAGE_WITNESS:
-        genus = _expect_int(rec.take("genus", required=True), rec.at("genus"))
+        genus = rec.int("genus")
     elif kind == STABILIZATION_OF:
-        parent = _parse_descriptor(rec.take("parent", required=True), rec.at("parent"))
-        sign = _expect_sign(rec.take("sign", required=True), rec.at("sign"))
+        parent = _descriptor(rec, "parent")
+        sign = rec.sign("sign")
     elif kind == ORIENTATION_MIRROR:
-        other = _parse_descriptor(rec.take("other", required=True), rec.at("other"))
-    note_raw = rec.take("note")
-    note = "" if note_raw is None else _expect_str(note_raw, rec.at("note"))
+        other = _descriptor(rec, "other")
+    note = rec.str("note", required=False)
     rec.close()
     try:
-        return SGFact(kind=kind, subject=subject, genus=genus, parent=parent, sign=sign, other=other, note=note)
+        return SGFact(
+            kind=kind, subject=subject, genus=genus, parent=parent, sign=sign, other=other, note=note or ""
+        )
     except ToolkitError as exc:
         raise InputFormatError(rec.location, str(exc)) from exc
 
 
 def _section(top: _Record, name: str) -> list:
     raw = top.take(name)
+    if type(raw) is list:
+        return raw
     return [] if raw is None else _expect_list(raw, name)
 
 
@@ -466,7 +545,7 @@ def parse_text(text: str) -> InputDocument:
         # json converts integer literals with int(), which refuses
         # literals longer than the interpreter's digit limit
         raise InputFormatError("document", "an integer literal has too many digits") from exc
-    if not isinstance(data, Mapping):
+    if type(data) is not dict:
         raise InputFormatError("document", f"top level must be an object, got {type(data).__name__}")
     return parse_dict(data)
 
@@ -564,4 +643,61 @@ def serialize(doc: InputDocument) -> dict:
 
 def serialize_text(doc: InputDocument) -> str:
     """Serialize to pretty-printed JSON text."""
-    return json.dumps(serialize(doc), indent=2) + "\n"
+    return json_text(serialize(doc)) + "\n"
+
+
+def json_text(value) -> str:
+    """The text of ``json.dumps(value, indent=2)`` for dicts with string
+    keys, lists, tuples, strings, ints, bools and None; any other type
+    raises ``TypeError``.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder, whose
+    closures leave reference cycles behind on every call; this writer
+    leaves none.
+
+    >>> print(json_text({"a": [1, True, None], "b": {}}))
+    {
+      "a": [
+        1,
+        true,
+        null
+      ],
+      "b": {}
+    }
+    """
+    out: List[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: List[str]) -> None:
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

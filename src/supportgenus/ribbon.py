@@ -26,6 +26,8 @@ Surfaces and curves are immutable; operations return fresh objects.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -70,7 +72,29 @@ def interleaving_form(feet: Sequence[int], band_count: int):
     return form
 
 
+def _is_canonical(band_count: int, crossings) -> bool:
+    """Whether ``crossings`` is a dict from pairs of ints 0 <= i <= j <
+    band_count to ints, tested in bulk: then only zero counts and the
+    order differ from the canonical form."""
+    if type(crossings) is not dict:
+        return False
+    if not crossings:
+        return True
+    keys = crossings.keys()
+    if set(map(type, keys)) != {tuple} or set(map(len, keys)) != {2}:
+        return False
+    firsts, seconds = zip(*keys)
+    return (
+        set(map(type, firsts)) | set(map(type, seconds)) | set(map(type, crossings.values())) == {int}
+        and min(firsts) >= 0
+        and max(seconds) < band_count
+        and all(map(operator.le, firsts, seconds))
+    )
+
+
 def _canonical_crossings(band_count: int, crossings) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+    if _is_canonical(band_count, crossings):
+        return tuple(sorted(filter(operator.itemgetter(1), crossings.items())))
     out: Dict[Tuple[int, int], int] = {}
     items = crossings.items() if isinstance(crossings, Mapping) else crossings
     for key, count in items:
@@ -121,9 +145,10 @@ class RibbonSurface:
         for label in feet:
             if not (isinstance(label, int) and 0 <= label < n):
                 raise MalformedSurfaceError(f"feet_order entry {label!r} is not a band index in 0..{n - 1}")
+        counts = Counter(feet)
         for i in range(n):
-            if feet.count(i) != 2:
-                raise MalformedSurfaceError(f"band {i} has {feet.count(i)} feet in feet_order, expected 2")
+            if counts[i] != 2:
+                raise MalformedSurfaceError(f"band {i} has {counts[i]} feet in feet_order, expected 2")
 
         tw = tuple(twists) if twists is not None else (0,) * n
         if len(tw) != n or any(not isinstance(t, int) for t in tw):
@@ -141,19 +166,13 @@ class RibbonSurface:
         object.__setattr__(self, "_iform", iform)
         object.__setattr__(self, "_crossmap", dict(cross))
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                count = self._crossmap.get((i, j), 0)
-                if (count - iform[i][j]) % 2:
-                    detail = (
-                        "their closed cores meet once inside the disk, so they must cross an odd number of times outside"
-                        if iform[i][j]
-                        else "their closed cores are disjoint inside the disk, so they must cross an even number of times outside"
-                    )
-                    raise MalformedSurfaceError(
-                        f"crossing parity: bands {i} and {j} have crossing count {count} "
-                        f"with intersection number {iform[i][j]}; {detail}"
-                    )
+        # Parity holds exactly when the pairs with an odd count are the
+        # interleaved pairs; only a page that breaks it walks every pair
+        # for the first offender.
+        odd = [pair for pair, count in cross if count % 2 and pair[0] != pair[1]]
+        interleaved = sum(n - row.count(0) for row in iform) // 2
+        if len(odd) != interleaved or not all(iform[i][j] for i, j in odd):
+            self._first_parity_error()
 
         chi = 1 - n
         b = self._count_boundary_components()
@@ -168,6 +187,22 @@ class RibbonSurface:
 
     def __setattr__(self, name, value):
         raise AttributeError("RibbonSurface is immutable")
+
+    def _first_parity_error(self) -> None:
+        n, iform = self.band_count, self._iform
+        for i in range(n):
+            for j in range(i + 1, n):
+                count = self._crossmap.get((i, j), 0)
+                if (count - iform[i][j]) % 2:
+                    detail = (
+                        "their closed cores meet once inside the disk, so they must cross an odd number of times outside"
+                        if iform[i][j]
+                        else "their closed cores are disjoint inside the disk, so they must cross an even number of times outside"
+                    )
+                    raise MalformedSurfaceError(
+                        f"crossing parity: bands {i} and {j} have crossing count {count} "
+                        f"with intersection number {iform[i][j]}; {detail}"
+                    )
 
     def _count_boundary_components(self) -> int:
         feet = self.feet_order
@@ -252,7 +287,9 @@ class CurveClass:
     traversal: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = self.coefficients
+        if type(coeffs) is not tuple or not set(map(type, coeffs)) <= {int}:
+            coeffs = tuple(int(c) for c in coeffs)
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.surface.band_count:
             raise CurveMismatchError(

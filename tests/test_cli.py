@@ -1,3 +1,7 @@
+import contextlib
+import gc
+import hashlib
+import io
 import json
 import runpy
 import sys
@@ -5,6 +9,7 @@ import sys
 import pytest
 
 from supportgenus.cli import main
+from supportgenus.fixtures import FIXTURE_NAMES
 
 AMBIGUOUS = json.dumps(
     {
@@ -176,3 +181,39 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
         runpy.run_module("supportgenus", run_name="__main__")
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("curve  surface  tb\n")
+
+
+MALFORMED = (
+    '{"surfaces": [{"name": "s", "feet_order": [1, 2, 1, 2], "crossings": [{"bands": [1, 2], "count": true}]}]}',
+    '{"curves": [{"name": "K", "surface": "ghost", "coefficients": [1]}], "extra": 1}',
+    '{"facts": [{"kind": "page-witness", "genus": 1, "subject": {"type": "t", "tb": 1}}',
+)
+# Recorded before the parser was rewritten for speed; see CHANGES.md.
+REPORTS_DIGEST = "611a2d8f84e1094cb9f6f777ba364d36e9c7533f01ce5163cb1511bd51426bd4"
+
+
+def test_reports_are_byte_identical_to_the_recorded_ones(capsys):
+    digest = hashlib.sha256()
+    for document in FIXTURE_NAMES + ("{}",) + MALFORMED:
+        for command in ("tb", "rot", "snf", "hf", "sg-bounds"):
+            for fmt in ("human", "machine"):
+                code = main([command, "--input", document, "--format", fmt])
+                captured = capsys.readouterr()
+                digest.update(json.dumps([code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == REPORTS_DIGEST
+
+
+def test_machine_reports_leave_no_reference_cycles():
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for document in ("fig1_torus_k1", "fig3_twist_m2", "hf_trefoil_n7", "thm13_facts"):
+            for command in ("tb", "rot", "snf", "hf", "sg-bounds"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([command, "--input", document, "--format", "machine"]) == 0
+        gc.collect()
+        left = sorted(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

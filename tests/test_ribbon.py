@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from supportgenus.errors import ToolkitError
 from supportgenus.ribbon import (
     CurveClass,
     CurveMismatchError,
     MalformedSurfaceError,
     OpenBook,
+    RibbonSurface,
     build_surface,
     dehn_twist_action,
     intersection_form,
@@ -189,3 +191,53 @@ def test_stabilize_rejects_bad_positions():
         stabilize(book, insert_at=(2, 1))
     with pytest.raises(MalformedSurfaceError):
         stabilize(book, insert_at=(0, 4))
+
+
+def test_constructor_messages_are_exact():
+    torus = RibbonSurface(2, [0, 1, 0, 1], crossings={(0, 1): 1})
+    disjoint_odd = (
+        "crossing parity: bands 1 and 2 have crossing count 1 with intersection number 0; their closed cores "
+        "are disjoint inside the disk, so they must cross an even number of times outside"
+    )
+    meeting_even = (
+        "crossing parity: bands {} and {} have crossing count {} with intersection number 1; their closed cores "
+        "meet once inside the disk, so they must cross an odd number of times outside"
+    )
+    cases = [
+        (lambda: RibbonSurface(2, [0, 1, 0, 1.0]), "feet_order entry 1.0 is not a band index in 0..1"),
+        (lambda: RibbonSurface(2, [0, 0, 0, 1]), "band 0 has 3 feet in feet_order, expected 2"),
+        (lambda: RibbonSurface(2, [0, 1, 1, 1]), "band 0 has 1 feet in feet_order, expected 2"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(0, 2): 1}), "crossing entry names band pair (0, 2) outside 0..1"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(-1, 1): 1}), "crossing entry names band pair (-1, 1) outside 0..1"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(0, 1): 1.0}), "crossing count for (0, 1) must be int"),
+        (lambda: RibbonSurface(3, [0, 1, 0, 1, 2, 2], crossings={(0, 1): 1, (1, 2): 1}), disjoint_odd),
+        (lambda: RibbonSurface(3, [0, 1, 0, 1, 2, 2], crossings={(0, 2): 2}), meeting_even.format(0, 1, 0)),
+        # one odd pair, as many as interleave, but not the interleaved one
+        (lambda: RibbonSurface(3, [0, 1, 0, 1, 2, 2], crossings={(1, 2): 1}), meeting_even.format(0, 1, 0)),
+        (
+            lambda: RibbonSurface(3, [0, 1, 2, 0, 1, 2], crossings={(0, 1): 1, (1, 2): 2, (0, 2): 1}),
+            meeting_even.format(1, 2, 2),
+        ),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(1, 0): 1, (0, 1): 1}), meeting_even.format(0, 1, 2)),
+        (lambda: CurveClass(torus, (1, 1, 1)), "curve has 3 coefficients on a page with 2 bands"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ToolkitError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_crossings_in_any_form_reach_one_canonical_form():
+    expected = (((0, 1), 1), ((1, 1), 2))
+    for crossings in (
+        {(0, 1): 1, (1, 1): 2},
+        {(1, 0): 1, (1, 1): 2, (0, 0): 0},
+        [((1, 0), 3), ((0, 1), -2), ((1, 1), 2)],
+        {(0, 1): True, (1, 1): 2},
+    ):
+        surface = RibbonSurface(2, [0, 1, 0, 1], crossings=crossings)
+        assert surface.crossings == expected
+        assert [type(count) for _, count in surface.crossings] == [int, int]
+    torus = RibbonSurface(2, [0, 1, 0, 1], crossings=expected)
+    assert CurveClass(torus, [1.0, True]).coefficients == (1, 1)
+    assert CurveClass(torus, ("1", 2)).coefficients == (1, 2)
