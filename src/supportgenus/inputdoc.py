@@ -121,9 +121,6 @@ class InputDocument:
         return SGFactBase(self.facts)
 
 
-SECTIONS = ("surfaces", "curves", "open_books", "stein_problems", "hf_modules", "facts")
-
-
 def _fail(location: str, message: str) -> None:
     raise InputFormatError(location, message)
 

@@ -55,20 +55,31 @@ def _foot_positions(feet: Sequence[int]) -> Dict[int, Tuple[int, int]]:
 
 def interleaving_form(feet: Sequence[int], band_count: int):
     """<a_i, a_j> from foot interleaving; chords through a disk cross at
-    most once, so entries are -1, 0 or +1."""
-    positions = _foot_positions(feet)
+    most once, so entries are -1, 0 or +1.
+
+    One walk along the feet keeps the open bands in opening order.  When
+    band i closes, the bands opened after it and still open are exactly
+    those reading i j i j from i's first foot, so the cost is the number
+    of bands plus the number of interleaved pairs, and a list search and
+    deletion per band.
+
+    >>> interleaving_form([0, 1, 2, 0, 2, 1], 3)
+    [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]
+    """
     form = [[0] * band_count for _ in range(band_count)]
-    for i in range(band_count):
-        p1, p2 = positions[i]
-        for j in range(i + 1, band_count):
-            q1, q2 = positions[j]
-            first_inside = p1 < q1 < p2
-            second_inside = p1 < q2 < p2
-            if first_inside == second_inside:
-                continue
-            sign = 1 if first_inside else -1
-            form[i][j] = sign
-            form[j][i] = -sign
+    seen = set()
+    opened = []
+    for band in feet:
+        if band not in seen:
+            seen.add(band)
+            opened.append(band)
+            continue
+        k = opened.index(band)
+        row = form[band]
+        for other in opened[k + 1 :]:
+            row[other] = 1
+            form[other][band] = -1
+        del opened[k]
     return form
 
 
@@ -273,6 +284,10 @@ def build_surface(
     return RibbonSurface(band_count, feet_order, twists, crossings)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CurveClass:
     """A first homology class on a page, with an optional traversal word.
@@ -289,14 +304,23 @@ class CurveClass:
     def __post_init__(self):
         coeffs = self.coefficients
         if type(coeffs) is not tuple or not set(map(type, coeffs)) <= {int}:
-            coeffs = tuple(int(c) for c in coeffs)
+            coeffs = tuple(coeffs)
+            for i, c in enumerate(coeffs):
+                if not _is_integer(c):
+                    raise CurveMismatchError(f"curve coefficient {i} is {c!r}, not an int")
+            coeffs = tuple(map(int, coeffs))
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.surface.band_count:
             raise CurveMismatchError(
                 f"curve has {len(coeffs)} coefficients on a page with {self.surface.band_count} bands"
             )
         if self.traversal is not None:
-            word = tuple((int(b), int(s)) for b, s in self.traversal)
+            word = tuple((b, s) for b, s in self.traversal)
+            if not {type(x) for pair in word for x in pair} <= {int}:
+                for i, pair in enumerate(word):
+                    if not all(map(_is_integer, pair)):
+                        raise CurveMismatchError(f"traversal entry {i} is {pair!r}, not a pair of ints")
+                word = tuple((int(b), int(s)) for b, s in word)
             object.__setattr__(self, "traversal", word)
             totals = [0] * self.surface.band_count
             for band, sign in word:

@@ -32,9 +32,10 @@ class IntMatrix:
     def __init__(self, data: Iterable[Iterable[int]], *, cols: Optional[int] = None):
         table = tuple(tuple(row) for row in data)
         for row in table:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
+            if not set(map(type, row)) <= {int}:
+                for x in row:
+                    if not isinstance(x, int):
+                        raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
         widths = {len(row) for row in table}
         if len(widths) > 1:
             raise ValueError(f"ragged rows: widths {sorted(widths)}")
@@ -254,19 +255,23 @@ def _bareiss(m: list, ncols: int, jordan: bool = False) -> tuple:
 def _unit_pivots(rows: list, ncols: int) -> tuple:
     """Eliminate on +-1 entries while any are left, in place.
 
-    Each step removes a pivot row and its column and subtracts multiples
-    of the pivot row from the others: the exact Schur complement, whose
-    entries are minors of the input because the pivot block has
-    determinant +-1.  Zero rows are dropped at the end.  Returns the
-    input indices of the columns left and, per step, (column, pivot,
-    the pivot row's other nonzero entries by input column), which is
-    what back-substitution needs.
+    The pivot is the first +-1 of the first row holding one.  Each step
+    removes the pivot row and subtracts multiples of it from the others:
+    the exact Schur complement, whose entries are minors of the input
+    because the pivot block has determinant +-1.  Columns stay in place.
+    The pivot row's support is read once, and only the rows with a
+    nonzero in the pivot column change, at the support's columns; that
+    zeroes the pivot column too, since x - (x s) s = 0.  So a step costs
+    the pivot row's support times the rows it meets, not the whole
+    matrix.  At the end the columns left are compacted and zero rows
+    dropped.  Returns the input indices of the columns left and, per
+    step, (column, pivot, the pivot row's other nonzero entries by input
+    column), which is what back-substitution needs.
 
     >>> rows = [[2, 1, 3], [4, 6, 2]]
     >>> _unit_pivots(rows, 3), rows
     (([0, 2], [(1, 1, [(0, 2), (2, 3)])]), [[-8, -16]])
     """
-    cols = list(range(ncols))
     steps = []
     while True:
         i = next((i for i, row in enumerate(rows) if 1 in row or -1 in row), None)
@@ -274,13 +279,18 @@ def _unit_pivots(rows: list, ncols: int) -> tuple:
             break
         prow = rows.pop(i)
         j = next(j for j, x in enumerate(prow) if x == 1 or x == -1)
-        s = prow.pop(j)
-        steps.append((cols.pop(j), s, [(c, x) for c, x in zip(cols, prow) if x]))
+        s = prow[j]
+        support = [(c, x) for c, x in enumerate(prow) if x]
+        steps.append((j, s, [(c, x) for c, x in support if c != j]))
         for row in rows:
-            f = row.pop(j) * s
+            f = row[j]
             if f:
-                row[:] = [x - f * y for x, y in zip(row, prow)]
-    rows[:] = [row for row in rows if any(row)]
+                f *= s
+                for c, y in support:
+                    row[c] -= f * y
+    pivoted = {j for j, _, _ in steps}
+    cols = [c for c in range(ncols) if c not in pivoted]
+    rows[:] = [[row[c] for c in cols] for row in rows if any(row)]
     return cols, steps
 
 

@@ -11,6 +11,7 @@ from supportgenus.ribbon import (
     RibbonSurface,
     build_surface,
     dehn_twist_action,
+    interleaving_form,
     intersection_form,
     is_nonseparating,
     stabilize,
@@ -239,5 +240,69 @@ def test_crossings_in_any_form_reach_one_canonical_form():
         assert surface.crossings == expected
         assert [type(count) for _, count in surface.crossings] == [int, int]
     torus = RibbonSurface(2, [0, 1, 0, 1], crossings=expected)
-    assert CurveClass(torus, [1.0, True]).coefficients == (1, 1)
-    assert CurveClass(torus, ("1", 2)).coefficients == (1, 2)
+    with pytest.raises(CurveMismatchError, match=r"^curve coefficient 0 is 1\.0, not an int$"):
+        CurveClass(torus, [1.0, True])
+    with pytest.raises(CurveMismatchError, match=r"^curve coefficient 0 is '1', not an int$"):
+        CurveClass(torus, ("1", 2))
+
+
+def test_curve_entries_must_be_ints_and_not_bools():
+    torus = RibbonSurface(2, [0, 1, 0, 1], crossings={(0, 1): 1})
+    cases = [
+        (lambda: CurveClass(torus, (1, True)), "curve coefficient 1 is True, not an int"),
+        (lambda: CurveClass(torus, [0, 2.7]), "curve coefficient 1 is 2.7, not an int"),
+        (lambda: CurveClass(torus, (1, 0), traversal=((0, 1.0),)), "traversal entry 0 is (0, 1.0), not a pair of ints"),
+        (
+            lambda: CurveClass(torus, (1, 1), traversal=((0, 1), (True, 1))),
+            "traversal entry 1 is (True, 1), not a pair of ints",
+        ),
+        (lambda: CurveClass(torus, (1, 0), traversal=[["0", 1]]), "traversal entry 0 is ('0', 1), not a pair of ints"),
+    ]
+    for build, message in cases:
+        with pytest.raises(CurveMismatchError) as info:
+            build()
+        assert str(info.value) == message
+
+    class Count(int):
+        pass
+
+    curve = CurveClass(torus, [Count(1), 1], traversal=[[0, Count(1)], (1, 1)])
+    assert curve.coefficients == (1, 1) and curve.traversal == ((0, 1), (1, 1))
+    assert {type(x) for x in curve.coefficients + curve.traversal[0]} == {int}
+
+
+def brute_interleaving(feet, n):
+    """<a_i, a_j> by testing every band pair against foot positions."""
+    first, second = {}, {}
+    for pos, band in enumerate(feet):
+        (second if band in first else first)[band] = pos
+    form = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if first[i] < first[j] < second[i] < second[j]:
+                form[i][j], form[j][i] = 1, -1
+    return form
+
+
+def test_interleaving_form_matches_the_pair_test():
+    rng = random.Random(29)
+    orders = [
+        [],
+        [0, 0],
+        [0, 0, 1, 1, 2, 2],  # adjacent feet
+        [0, 1, 2, 2, 1, 0],  # nested
+        [0, 1, 0, 2, 1, 2],  # a chain of interleavings
+        [2, 1, 0, 2, 1, 0],  # every pair interleaved, last band opened first
+    ]
+    for n in range(61):
+        feet = [band for band in range(n) for _ in range(2)]
+        rng.shuffle(feet)
+        orders.append(feet)
+        nested = list(range(n)) + list(reversed(range(n)))
+        orders.append(nested)
+        # nested blocks with adjacent feet between them
+        cut = rng.randint(0, n)
+        orders.append(nested[:cut] + [b for b in range(n, n + 3) for _ in range(2)] + nested[cut:])
+    for feet in orders:
+        n = len(feet) // 2
+        assert interleaving_form(feet, n) == brute_interleaving(feet, n), feet

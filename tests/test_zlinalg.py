@@ -1,10 +1,13 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from supportgenus.verify import brute_kernel, random_matrix
+from supportgenus import zlinalg
+from supportgenus.ribbon import intersection_form
+from supportgenus.verify import brute_kernel, random_matrix, random_page
 from supportgenus.zlinalg import (
     IntMatrix,
     hermite_reduce,
@@ -25,6 +28,16 @@ def test_matrix_basics():
     assert a.determinant() == -2
     assert (-a).determinant() == -2
     assert IntMatrix.from_columns([(1, 3), (2, 4)]) == a
+
+
+def test_matrix_entries_are_ints_bools_or_int_subclasses():
+    class Count(int):
+        pass
+
+    assert IntMatrix([[True, Count(2)], (3, 4)]).data == ((1, 2), (3, 4))
+    for bad, name in ((1.0, "float"), ("1", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^matrix entries must be int, got {name}$"):
+            IntMatrix([[1, 2], [3, bad]])
 
 
 def test_matrix_is_immutable():
@@ -206,3 +219,79 @@ def test_solve_integer():
 def test_solve_integer_rejects_wrong_length():
     with pytest.raises(ValueError):
         solve_integer(IntMatrix([[1, 2]]), [1, 2])
+
+
+def dense_unit_pivots(rows, ncols):
+    """The unit-pivot elimination that rewrote every row at every step:
+    each pivot popped its column from every row and rebuilt, as a new
+    list, every row with a nonzero there.  The oracle for
+    ``zlinalg._unit_pivots``, which must return the same columns, steps
+    and leftover rows."""
+    cols = list(range(ncols))
+    steps = []
+    while True:
+        i = next((i for i, row in enumerate(rows) if 1 in row or -1 in row), None)
+        if i is None:
+            break
+        prow = rows.pop(i)
+        j = next(j for j, x in enumerate(prow) if x == 1 or x == -1)
+        s = prow.pop(j)
+        steps.append((cols.pop(j), s, [(c, x) for c, x in zip(cols, prow) if x]))
+        for row in rows:
+            f = row.pop(j) * s
+            if f:
+                row[:] = [x - f * y for x, y in zip(row, prow)]
+    rows[:] = [row for row in rows if any(row)]
+    return cols, steps
+
+
+def planted_kernel_matrix(rng, p):
+    """A p x (p+1) matrix like the boundary matrices of ``rot``: p random
+    columns with entries in [-2, 2], then their combination M h, so that
+    (h, -1) lies in the kernel."""
+    m = random_matrix(rng, p, p, span=2)
+    h = [rng.randint(-1, 1) for _ in range(p)]
+    return IntMatrix([row + (x,) for row, x in zip(m.data, m.mul_vec(h))])
+
+
+def unit_pivot_cases():
+    rng = random.Random(41)
+    yield IntMatrix.zero(0, 0)
+    yield IntMatrix.zero(0, 4)
+    yield IntMatrix.zero(3, 0)
+    yield IntMatrix.zero(4, 5)
+    yield IntMatrix([[2, 4], [6, 8]])
+    yield IntMatrix([[2 * rng.randint(-5, 5) for _ in range(7)] for _ in range(6)])
+    for _ in range(300):
+        yield random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12), span=rng.choice((1, 2, 3, 9)))
+    for n in list(range(0, 40)) + [60, 90, 120]:
+        yield intersection_form(random_page(rng, n))
+    for p in range(2, 27):
+        yield planted_kernel_matrix(rng, p)
+
+
+def test_unit_pivots_match_the_dense_oracle():
+    for a in unit_pivot_cases():
+        rows, oracle_rows = [list(r) for r in a.data], [list(r) for r in a.data]
+        assert zlinalg._unit_pivots(rows, a.cols) == dense_unit_pivots(oracle_rows, a.cols), a
+        assert rows == oracle_rows, a
+
+
+def test_unit_pivots_cost_follows_the_pivot_rows_support(monkeypatch):
+    # The dense oracle rewrites every row at every pivot; on a 400-band
+    # page, whose form stays about a third nonzero, touching only the
+    # rows that meet the pivot column at the pivot row's support costs
+    # about 0.3 times as much.  The two are timed alternately, so that a
+    # drift in machine speed meets both.
+    a = intersection_form(random_page(random.Random(400), 400))
+    times = {zlinalg._unit_pivots: [], dense_unit_pivots: []}
+    diagonals = set()
+    for _ in range(3):
+        for pivots, runs in times.items():
+            monkeypatch.setattr(zlinalg, "_unit_pivots", pivots)
+            start = time.perf_counter()
+            diagonals.add(smith_normal_form(a).diagonal)
+            runs.append(time.perf_counter() - start)
+    sparse, dense = (min(runs) for runs in times.values())
+    assert len(diagonals) == 1
+    assert sparse <= 0.5 * dense, (sparse, dense)
