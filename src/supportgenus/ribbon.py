@@ -43,16 +43,6 @@ class CurveMismatchError(ToolkitError):
     """A curve was used with a surface it does not live on."""
 
 
-def _foot_positions(feet: Sequence[int]) -> Dict[int, Tuple[int, int]]:
-    positions: Dict[int, Tuple[int, int]] = {}
-    for pos, label in enumerate(feet):
-        if label in positions:
-            positions[label] = (positions[label][0], pos)
-        else:
-            positions[label] = (pos, pos)
-    return positions
-
-
 def interleaving_form(feet: Sequence[int], band_count: int):
     """<a_i, a_j> from foot interleaving; chords through a disk cross at
     most once, so entries are -1, 0 or +1.
@@ -136,7 +126,6 @@ class RibbonSurface:
         "boundary_components",
         "genus",
         "_iform",
-        "_positions",
         "_crossmap",
     )
 
@@ -166,14 +155,12 @@ class RibbonSurface:
             raise MalformedSurfaceError(f"twists must be {n} integers")
 
         cross = _canonical_crossings(n, crossings or {})
-        positions = _foot_positions(feet)
         iform = tuple(tuple(row) for row in interleaving_form(feet, n))
 
         object.__setattr__(self, "band_count", n)
         object.__setattr__(self, "feet_order", feet)
         object.__setattr__(self, "twists", tw)
         object.__setattr__(self, "crossings", cross)
-        object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_iform", iform)
         object.__setattr__(self, "_crossmap", dict(cross))
 
@@ -220,9 +207,13 @@ class RibbonSurface:
         m = len(feet)
         if m == 0:
             return 1
-        partner = [0] * m
-        for first, second in self._positions.values():
-            partner[first], partner[second] = second, first
+        partner, opened = [0] * m, {}
+        for pos, label in enumerate(feet):
+            first = opened.pop(label, None)
+            if first is None:
+                opened[label] = pos
+            else:
+                partner[first], partner[pos] = pos, first
         # Corner 2p is the counterclockwise entry of foot p, corner
         # 2p + 1 its exit.  The boundary permutation sends an exit
         # corner along the disk gap to the next entry corner, and an

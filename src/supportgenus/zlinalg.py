@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers.
 
 Everything in this module works with plain Python ints, so arithmetic is
-arbitrary precision and nothing ever touches floating point.  The three
-workhorses are :func:`smith_normal_form`, :func:`kernel_basis` and
-:func:`solve_integer`; the rest is the small immutable matrix container
-they share with the topological modules.
+arbitrary precision and nothing ever touches floating point.  The two
+workhorses are :func:`smith_normal_form` and :func:`kernel_basis`;
+:func:`solve_integer` reads its answer off a kernel, and the rest is the
+small immutable matrix container they share with the topological
+modules.
 
 All public functions are pure: matrices are immutable and every
 operation returns a fresh object.
@@ -84,9 +85,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
-
-    def diagonal(self) -> tuple:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
 
     # -- algebra ------------------------------------------------------
 
@@ -477,9 +475,7 @@ def hermite_reduce(vectors: Sequence[Sequence[int]]) -> tuple:
                 continue
             a, b = rows[r][col], rows[i][col]
             g, x, y = _xgcd(a, b)
-            ri, rj = rows[r], rows[i]
-            rows[r] = [x * p + y * q for p, q in zip(ri, rj)]
-            rows[i] = [-(b // g) * p + (a // g) * q for p, q in zip(ri, rj)]
+            _row_combine(rows, r, i, x, y, -(b // g), a // g)
         if rows[r][col] < 0:
             rows[r] = [-x for x in rows[r]]
         piv = rows[r][col]
@@ -545,29 +541,26 @@ def kernel_basis(a: IntMatrix) -> tuple:
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """One integer solution x of A x = b, or None when none exists.
 
-    No solution is a normal outcome, not an error.
+    No solution is a normal outcome, not an error.  The answer is read
+    off the saturated kernel of [-b | A], with b as column 0: a kernel
+    vector (t, x) satisfies A x = t b.  Its Hermite basis from
+    :func:`kernel_basis` has a pivot in column 0 equal to the gcd of
+    every such t, or none there when every t is 0.  So A x = b has an
+    integer solution exactly when the first basis row starts with 1, and
+    the rest of that row is the solution returned.  It is bounded as the
+    kernel basis is: built from minors of [-b | A], then Hermite-reduced,
+    which reduces its entry in each later pivot column into [0, pivot).
 
     >>> solve_integer(IntMatrix([[2, 3]]), [1])
-    (-1, 1)
+    (2, -1)
     >>> solve_integer(IntMatrix([[2]]), [1]) is None
     True
     """
     if len(b) != a.rows:
         raise ValueError(f"right hand side of length {len(b)} against {a.rows}x{a.cols} matrix")
-    # the solution needs U and V, so the transform elimination is the route
-    u, smith, v = _smith_transforms(a)
-    c = u.mul_vec(b)
-    y = [0] * a.cols
-    diag = smith.diagonal()
-    for i, ci in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ci != 0:
-                return None
-        else:
-            if ci % d != 0:
-                return None
-            y[i] = ci // d
-    x = v.mul_vec(y)
+    basis = kernel_basis(IntMatrix([(-bi, *row) for bi, row in zip(b, a.data)], cols=a.cols + 1))
+    if not basis or basis[0][0] != 1:
+        return None
+    x = basis[0][1:]
     assert a.mul_vec(x) == tuple(b)
     return x

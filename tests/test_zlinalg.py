@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from supportgenus import zlinalg
+from supportgenus.cli import main
+from supportgenus.fixtures import FIXTURE_NAMES
 from supportgenus.ribbon import intersection_form
 from supportgenus.verify import brute_kernel, random_matrix, random_page
 from supportgenus.zlinalg import (
@@ -203,7 +205,7 @@ def test_hermite_reduce_is_basis_independent():
 
 
 def test_solve_integer():
-    assert solve_integer(IntMatrix([[2, 3]]), [1]) == (-1, 1)
+    assert solve_integer(IntMatrix([[2, 3]]), [1]) == (2, -1)
     assert solve_integer(IntMatrix([[2]]), [1]) is None
     assert solve_integer(IntMatrix([[1, 0], [0, 1], [1, 1]]), [2, 3, 4]) is None
     assert solve_integer(IntMatrix([[1, 0], [0, 1], [1, 1]]), [2, 3, 5]) == (2, 3)
@@ -219,6 +221,92 @@ def test_solve_integer():
 def test_solve_integer_rejects_wrong_length():
     with pytest.raises(ValueError):
         solve_integer(IntMatrix([[1, 2]]), [1, 2])
+
+
+def test_solve_integer_takes_only_integer_right_hand_sides():
+    class Count(int):
+        pass
+
+    for a, b in ((IntMatrix([[1]]), [2.0]), (IntMatrix([[1, 0], [0, 1]]), [2.0, 3])):
+        with pytest.raises(TypeError, match="^matrix entries must be int, got float$"):
+            solve_integer(a, b)
+    assert solve_integer(IntMatrix([[1, 0], [0, 1]]), [True, Count(3)]) == (1, 3)
+
+
+def transform_solve(a, b):
+    """The solve that ``solve_integer`` replaced: with U A V = D, A x = b
+    exactly when D y = U b has an integer solution y, and then x = V y.
+    The oracle for ``solve_integer``, which must give the same verdicts."""
+    s = smith_normal_form(a)
+    y = [0] * a.cols
+    for i, c in enumerate(s.U.mul_vec(b)):
+        d = s.D[i, i] if i < a.cols else 0
+        if d == 0:
+            if c != 0:
+                return None
+        elif c % d != 0:
+            return None
+        else:
+            y[i] = c // d
+    return s.V.mul_vec(y)
+
+
+def solve_cases():
+    rng = random.Random(43)
+    for rows in range(4):
+        for cols in range(4):
+            if rows == 0 or cols == 0:
+                a = IntMatrix.zero(rows, cols)
+                yield a, (0,) * rows
+                yield a, tuple(rng.randint(-3, 3) for _ in range(rows))
+    for _ in range(250):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.3:
+            rank = rng.randint(1, min(rows, cols))
+            a = random_matrix(rng, rows, rank, span=3) @ random_matrix(rng, rank, cols, span=3)
+        else:
+            a = random_matrix(rng, rows, cols, span=rng.choice((1, 3, 9)))
+        yield a, a.mul_vec([rng.randint(-5, 5) for _ in range(cols)])
+        yield a, tuple(rng.randint(-9, 9) for _ in range(rows))
+
+
+def test_solve_integer_matches_the_transform_route():
+    verdicts = []
+    for a, b in solve_cases():
+        x, oracle = solve_integer(a, b), transform_solve(a, b)
+        assert (x is None) == (oracle is None), (a, b)
+        for found in (x, oracle):
+            assert found is None or a.mul_vec(found) == tuple(b), (a, b)
+        verdicts.append(x is not None)
+    assert len(verdicts) >= 500 and 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_solve_integer_scales_past_forty_unknowns():
+    # the transform route does not return on this system within 100 s
+    a = random_matrix(random.Random(1), 40, 40)
+    start = time.perf_counter()
+    assert solve_integer(a, a.mul_vec([1] * 40)) == (1,) * 40
+    assert time.perf_counter() - start < 0.5
+
+
+def test_only_u_and_v_run_the_transform_elimination(monkeypatch, capsys):
+    def forbidden(a):
+        raise AssertionError(f"transform elimination entered on {a!r}")
+
+    monkeypatch.setattr(zlinalg, "_smith_transforms", forbidden)
+    rng = random.Random(47)
+    for _ in range(60):
+        a = random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), span=rng.choice((1, 9)))
+        solve_integer(a, a.mul_vec([1] * a.cols))
+        kernel_basis(a)
+        s = smith_normal_form(a)
+        assert s.rank == sum(map(bool, s.diagonal)) and s.D.cols == a.cols
+    for document in FIXTURE_NAMES:
+        for command in ("tb", "rot", "snf", "hf", "sg-bounds"):
+            main([command, "--input", document])
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="^transform elimination entered"):
+        smith_normal_form(IntMatrix([[2]])).U
 
 
 def dense_unit_pivots(rows, ncols):

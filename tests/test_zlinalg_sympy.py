@@ -13,7 +13,7 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from supportgenus.ribbon import intersection_form  # noqa: E402
 from supportgenus.verify import random_matrix, random_surface  # noqa: E402
-from supportgenus.zlinalg import IntMatrix, hermite_reduce, kernel_basis, smith_normal_form  # noqa: E402
+from supportgenus.zlinalg import IntMatrix, hermite_reduce, kernel_basis, smith_normal_form, solve_integer  # noqa: E402
 
 
 def sympy_factors(a: IntMatrix) -> tuple:
@@ -60,3 +60,18 @@ def test_kernel_of_a_wide_matrix():
     # saturated: the basis extends to a basis of Z^35
     assert sympy_factors(IntMatrix(basis)) == (1,) * len(basis)
     assert hermite_reduce(basis) == basis
+
+
+def test_solvability_against_sympy():
+    # A x = b has an integer solution exactly when A and [A | b] have the
+    # same nonzero invariant factors
+    rng = random.Random(37)
+    for k in range(300):
+        a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), span=rng.choice((2, 5)))
+        if k % 2:
+            b = a.mul_vec([rng.randint(-4, 4) for _ in range(a.cols)])
+        else:
+            b = tuple(rng.randint(-6, 6) for _ in range(a.rows))
+        augmented = IntMatrix([row + (x,) for row, x in zip(a.data, b)])
+        same = [d for d in sympy_factors(a) if d] == [d for d in sympy_factors(augmented) if d]
+        assert (solve_integer(a, b) is not None) == same, (a, b)
