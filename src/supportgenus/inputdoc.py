@@ -446,12 +446,17 @@ def _parse_hf_module(rec: _Record) -> FormalHFModule:
     return FormalHFModule(slots=tuple(slots))
 
 
-def _descriptor(rec: _Record, key: str) -> LegendrianDesc:
+def _descriptor(rec: _Record, key: str, shared: Dict[Tuple[str, int, int], LegendrianDesc]) -> LegendrianDesc:
+    """The descriptor under ``key``; untagged ones on the quick path are
+    looked up in ``shared`` first, so equal ones are one object."""
     raw = rec.take(key, required=True)
     if type(raw) is dict and len(raw) == 3:
         topo_type, tb, rot = raw.get("type"), raw.get("tb"), raw.get("rot")
         if type(topo_type) is str and type(tb) is int and type(rot) is int:
-            return LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot)
+            desc = shared.get((topo_type, tb, rot))
+            if desc is None:
+                desc = shared[topo_type, tb, rot] = LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot)
+            return desc
     sub = _Record(raw, rec.at(key))
     topo_type = sub.str("type")
     tb = sub.int("tb")
@@ -461,19 +466,19 @@ def _descriptor(rec: _Record, key: str) -> LegendrianDesc:
     return LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot, tags=() if tags is None else tuple(tags))
 
 
-def _parse_fact(rec: _Record) -> SGFact:
+def _parse_fact(rec: _Record, shared: Dict[Tuple[str, int, int], LegendrianDesc]) -> SGFact:
     kind = rec.str("kind")
     if kind not in FACT_KINDS:
         _fail(rec.at("kind"), f"unknown fact kind {kind!r}; known kinds: {', '.join(FACT_KINDS)}")
-    subject = _descriptor(rec, "subject")
+    subject = _descriptor(rec, "subject", shared)
     genus = parent = sign = other = None
     if kind == PAGE_WITNESS:
         genus = rec.int("genus")
     elif kind == STABILIZATION_OF:
-        parent = _descriptor(rec, "parent")
+        parent = _descriptor(rec, "parent", shared)
         sign = rec.sign("sign")
     elif kind == ORIENTATION_MIRROR:
-        other = _descriptor(rec, "other")
+        other = _descriptor(rec, "other", shared)
     note = rec.str("note", required=False)
     rec.close()
     try:
@@ -522,8 +527,9 @@ def parse_dict(data: Mapping) -> InputDocument:
         doc.hf_modules[name] = _parse_hf_module(rec)
 
     facts: List[SGFact] = []
+    shared: Dict[Tuple[str, int, int], LegendrianDesc] = {}
     for i, entry in enumerate(_section(top, "facts")):
-        facts.append(_parse_fact(_Record(entry, f"facts[{i}]")))
+        facts.append(_parse_fact(_Record(entry, f"facts[{i}]"), shared))
     doc.facts = tuple(facts)
 
     top.close()

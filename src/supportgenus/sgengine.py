@@ -19,11 +19,12 @@ Rules:
       are intersected.
 
 Each fact compiles once into moves that only raise lo or lower hi, so
-the fixed point exists and does not depend on fact order; a fact runs
-again only when a descriptor it reads has changed, so the work follows
+the fixed point exists and does not depend on fact order; a move runs
+again only when the one bound it reads has changed, so the work follows
 the bound changes, not facts x sweeps.  Descriptors with equal
-(topo_type, tb, rot) are identified; fixtures that rely on such
-identifications carry classification-axiom facts recording why the
+(topo_type, tb, rot) are identified: a derivation numbers each of them
+once and works on those numbers from then on.  Fixtures that rely on
+such identifications carry classification-axiom facts recording why the
 identification is legitimate.
 """
 
@@ -127,12 +128,9 @@ class SGFact:
         elif self.kind == STABILIZATION_OF:
             if self.parent is None or self.sign not in (1, -1):
                 raise FactError("stabilization-of needs a parent and a sign of +1 or -1")
-            expected = stabilized(self.parent, self.sign)
-            if (self.subject.topo_type, self.subject.tb, self.subject.rot) != (
-                expected.topo_type,
-                expected.tb,
-                expected.rot,
-            ):
+            subject, parent = self.subject, self.parent
+            expected = (parent.topo_type, parent.tb - 1, parent.rot + self.sign)
+            if (subject.topo_type, subject.tb, subject.rot) != expected:
                 raise FactError(
                     f"stabilization-of: {self.subject.label()} is not the sign {self.sign:+d} "
                     f"stabilization of {self.parent.label()}"
@@ -187,12 +185,14 @@ class SGFactBase:
         return fact
 
     def descriptors(self) -> Tuple[LegendrianDesc, ...]:
-        seen: Dict[LegendrianDesc, LegendrianDesc] = {}
+        """The distinct descriptors, each as the first object seen, in the
+        order the facts name them."""
+        seen: Dict[Tuple[str, int, int], LegendrianDesc] = {}
         for fact in self.facts:
             for desc in (fact.subject, fact.parent, fact.other):
-                if desc is not None and desc not in seen:
-                    seen[desc] = desc
-        return tuple(seen)
+                if desc is not None:
+                    seen.setdefault((desc.topo_type, desc.tb, desc.rot), desc)
+        return tuple(seen.values())
 
     def __iter__(self):
         return iter(self.facts)
@@ -252,34 +252,27 @@ def replay_trace(trace: Iterable[TraceStep]) -> Tuple[int, Optional[int]]:
     return lo, hi
 
 
-class _Cell:
-    __slots__ = ("lo", "hi", "trace")
-
-    def __init__(self):
-        self.lo = 0
-        self.hi: Optional[int] = None
-        self.trace: List[TraceStep] = []
-
-
-# The rules as data.  Given a fact and its description, each kind
-# compiles to moves (bound, target, source, constant, rule, reason), in
-# the order a sweep applies them; a move tightens one bound of its target
-# to the constant, or to the same bound of its source.  Classification
+# The rules as data.  Given a fact, its description and the ids of its
+# subject, parent and other descriptor, each kind compiles to moves
+# (bound, target, source, constant, rule, reason, named), in the order a
+# sweep applies them; a move tightens one bound of its target to the
+# constant, or to the same bound of its source, and a clash it causes
+# names the fact's own descriptor object at the target.  Classification
 # axioms carry no bound; they justify identifications the fixtures make.
-_RULES: Dict[str, Callable[[SGFact, str], Tuple[tuple, ...]]] = {
-    PAGE_WITNESS: lambda f, why: (("hi", f.subject, None, f.genus, "R1", why),),
-    POSITIVE_TB: lambda f, why: (("lo", f.subject, None, 1, "R3", why),),
-    NONPLANAR_SURGERY: lambda f, why: (("lo", f.subject, None, 1, "R5", why),),
-    STABILIZATION_OF: lambda f, why: (
-        ("hi", f.subject, f.parent, None, "R2", why + ", upper bound inherited"),
-        ("lo", f.parent, f.subject, None, "R2", why + ", lower bound inherited"),
+_RULES: Dict[str, Callable[..., Tuple[tuple, ...]]] = {
+    PAGE_WITNESS: lambda f, why, s, p, o: (("hi", s, None, f.genus, "R1", why, f.subject),),
+    POSITIVE_TB: lambda f, why, s, p, o: (("lo", s, None, 1, "R3", why, f.subject),),
+    NONPLANAR_SURGERY: lambda f, why, s, p, o: (("lo", s, None, 1, "R5", why, f.subject),),
+    STABILIZATION_OF: lambda f, why, s, p, o: (
+        ("hi", s, p, None, "R2", why + ", upper bound inherited", f.subject),
+        ("lo", p, s, None, "R2", why + ", lower bound inherited", f.parent),
     ),
-    ORIENTATION_MIRROR: lambda f, why: tuple(
-        (bound, one, two, None, "R6", why)
-        for one, two in ((f.subject, f.other), (f.other, f.subject))
+    ORIENTATION_MIRROR: lambda f, why, s, p, o: tuple(
+        (bound, one, two, None, "R6", why, named)
+        for one, two, named in ((s, o, f.subject), (o, s, f.other))
         for bound in ("lo", "hi")
     ),
-    CLASSIFICATION_AXIOM: lambda f, why: (),
+    CLASSIFICATION_AXIOM: lambda f, why, s, p, o: (),
 }
 
 
@@ -292,52 +285,72 @@ def derive_bounds(base: SGFactBase) -> Dict[LegendrianDesc, SGInterval]:
     :func:`replay_trace`.  An empty interval raises
     :class:`InconsistentFactsError` naming the clashing justifications.
 
-    Sweeps run the facts in ascending index, but only the dirty ones: all
-    in the first sweep, later those reading a cell that changed since
-    they last ran.  A change made while fact i runs makes each reader
-    j > i dirty in this sweep and each reader j <= i (i too) in the next.
-    A clean fact cannot tighten anything, as its sources are unchanged
-    and its targets only tighter, so the steps, traces and clash are
-    those of re-running every fact until a sweep changes nothing.
+    Each descriptor is numbered once, by its (topo_type, tb, rot) in
+    :meth:`SGFactBase.descriptors` order, and the first object seen keeps
+    its place as the result key; from then on the moves and cells work on
+    those numbers.  Sweeps run the moves in fact order, but only the dirty
+    ones: a move is dirty when the bound it reads has changed since it last
+    ran, and a move with a constant is dirty in the first sweep.  A change
+    made by move m makes each reader m' > m dirty in this sweep and each
+    reader m' <= m in the next.  A clean move cannot tighten anything, as
+    its source is unchanged (a move that never ran reads a start value,
+    which tightens nothing) and its target only tighter, so the steps,
+    traces and clash are those of re-running every fact until a sweep
+    changes nothing.
     """
-    cells = {desc: _Cell() for desc in base.descriptors()}
-    moves = [_RULES[fact.kind](fact, fact.describe()) for fact in base.facts]
-    readers: Dict[LegendrianDesc, List[int]] = {desc: [] for desc in cells}
-    for index, fact_moves in enumerate(moves):
-        for source in dict.fromkeys(move[2] for move in fact_moves if move[2] is not None):
-            readers[source].append(index)
+    descs = base.descriptors()
+    number = {(desc.topo_type, desc.tb, desc.rot): i for i, desc in enumerate(descs)}
+    moves: List[tuple] = []
+    for fact in base.facts:
+        ids = [
+            None if desc is None else number[desc.topo_type, desc.tb, desc.rot]
+            for desc in (fact.subject, fact.parent, fact.other)
+        ]
+        moves += _RULES[fact.kind](fact, fact.describe(), *ids)
 
-    def tighten(desc: LegendrianDesc, bound: str, value: int, rule: str, reason: str) -> bool:
-        c = cells[desc]
-        old = getattr(c, bound)
-        if old is not None and (value <= old if bound == "lo" else value >= old):
-            return False
-        setattr(c, bound, value)
-        c.trace.append(TraceStep(rule=rule, bound=bound, value=value, reason=reason))
-        if c.hi is not None and c.lo > c.hi:
-            last = {step.bound: step for step in c.trace}
-            raise InconsistentFactsError(desc, last["lo"], last["hi"])
-        return True
+    lo = [0] * len(descs)
+    hi: List[Optional[int]] = [None] * len(descs)
+    traces: List[List[TraceStep]] = [[] for _ in descs]
+    cells = {"lo": lo, "hi": hi}
+    # readers[bound][d]: the moves reading that bound of descriptor d
+    readers = {bound: [[] for _ in descs] for bound in cells}
+    for m, (bound, _, source, *_) in enumerate(moves):
+        if source is not None:
+            readers[bound][source].append(m)
 
-    queue = [(0, index) for index in range(len(moves))]  # (sweep, fact), a sorted heap
-    queued = set(range(len(moves)))
+    # A move reading a bound still at its start value changes nothing, so
+    # at first only the moves with a constant are dirty.
+    count = len(moves)
+    queue = [m for m, move in enumerate(moves) if move[2] is None]  # sweep * count + move, a heap
+    queued = [move[2] is None for move in moves]
     while queue:
-        sweep, index = heapq.heappop(queue)
-        queued.discard(index)
-        for bound, target, source, value, rule, reason in moves[index]:
-            if source is not None:
-                value = getattr(cells[source], bound)
-                if value is None:
-                    continue
-            if tighten(target, bound, value, rule, reason):
-                for reader in readers[target]:
-                    if reader not in queued:
-                        queued.add(reader)
-                        heapq.heappush(queue, (sweep + (reader <= index), reader))
+        key = heapq.heappop(queue)
+        m = key % count
+        queued[m] = False
+        bound, target, source, value, rule, reason, named = moves[m]
+        cell = cells[bound]
+        if source is not None:
+            value = cell[source]
+            if value is None:
+                continue
+        old = cell[target]
+        if old is not None and (value <= old if bound == "lo" else value >= old):
+            continue
+        cell[target] = value
+        trace = traces[target]
+        trace.append(TraceStep(rule=rule, bound=bound, value=value, reason=reason))
+        if hi[target] is not None and lo[target] > hi[target]:
+            last = {step.bound: step for step in trace}
+            raise InconsistentFactsError(named, last["lo"], last["hi"])
+        sweep = key - m
+        for reader in readers[bound][target]:
+            if not queued[reader]:
+                queued[reader] = True
+                heapq.heappush(queue, sweep + (count if reader <= m else 0) + reader)
 
     return {
-        desc: SGInterval(lo=c.lo, hi=c.hi, trace=tuple(c.trace))
-        for desc, c in cells.items()
+        desc: SGInterval(lo=lo[i], hi=hi[i], trace=tuple(traces[i]))
+        for i, desc in enumerate(descs)
     }
 
 

@@ -182,7 +182,7 @@ def _criterion_8() -> Check:
 
 def random_matrix(rng: random.Random, rows: int, cols: int, span: int = 9) -> IntMatrix:
     """A rows x cols matrix with entries drawn uniformly from [-span, span]."""
-    return IntMatrix([[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)])
+    return IntMatrix([[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 def _snf_suite(rng: random.Random, count: int) -> Tuple[bool, str]:

@@ -1,15 +1,19 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
 import json
+import random
 import runpy
 import sys
 
 import pytest
+from test_sgengine import shape_facts
 
 from supportgenus.cli import main
 from supportgenus.fixtures import FIXTURE_NAMES
+from supportgenus.inputdoc import InputDocument, serialize
 
 AMBIGUOUS = json.dumps(
     {
@@ -201,6 +205,35 @@ def test_reports_are_byte_identical_to_the_recorded_ones(capsys):
                 captured = capsys.readouterr()
                 digest.update(json.dumps([code, captured.out, captured.err]).encode())
     assert digest.hexdigest() == REPORTS_DIGEST
+
+
+def sg_bounds_documents():
+    """Chain, mirror and grid fact bases as shuffled JSON documents, with a
+    tagged copy of some descriptors; genus 0 at the root clashes."""
+    rng = random.Random(1986)
+    for shape, size in (("chain", 40), ("mirror", 15), ("grid", 5)):
+        for genus in (0, 1, 2):
+            facts = []
+            for fact in shape_facts(rng, shape, size, genus):
+                if rng.random() < 0.3:
+                    fact = dataclasses.replace(fact, subject=dataclasses.replace(fact.subject, tags=("seen",)))
+                facts.append(fact)
+            rng.shuffle(facts)
+            yield json.dumps(serialize(InputDocument(facts=tuple(facts))))
+
+
+# Recorded before descriptors were numbered once per derivation; see CHANGES.md.
+SG_BOUNDS_DIGEST = "92903145d1fb272e7d8eaf9e68f378426dae8dcae72d20266a347c4935b5049a"
+
+
+def test_sg_bounds_reports_are_byte_identical_to_the_recorded_ones(capsys):
+    digest = hashlib.sha256()
+    for document in sg_bounds_documents():
+        for fmt in ("human", "machine"):
+            code = main(["sg-bounds", "--input", document, "--format", fmt])
+            captured = capsys.readouterr()
+            digest.update(json.dumps([code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == SG_BOUNDS_DIGEST
 
 
 def test_machine_reports_leave_no_reference_cycles():

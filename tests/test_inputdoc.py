@@ -103,6 +103,24 @@ def test_round_trip_on_every_fixture():
         assert serialize(again) == serialize(doc), name
 
 
+def test_descriptor_tags_survive_a_round_trip():
+    plain = {"type": "t", "tb": 1, "rot": 0}
+    tagged = dict(plain, tags=["seen on a page"])
+    doc = parse_dict(
+        {
+            "facts": [
+                {"kind": "positive-tb", "subject": plain},
+                {"kind": "page-witness", "genus": 1, "subject": tagged},
+                {"kind": "nonplanar-surgery", "subject": plain},
+            ]
+        }
+    )
+    for again in (doc, parse_text(serialize_text(doc))):
+        assert [fact.subject.tags for fact in again.facts] == [(), ("seen on a page",), ()]
+        assert again.facts[0].subject is again.facts[2].subject
+    assert serialize(parse_text(serialize_text(doc))) == serialize(doc)
+
+
 def test_bundled_files_match_their_builders():
     # the shipped JSON is generated; this is the drift guard
     for name in FIXTURE_NAMES:

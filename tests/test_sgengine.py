@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import random
 import time
 
@@ -261,11 +263,11 @@ def full_resweep(base):
 
 def outcome(derive, facts):
     """Everything a derivation shows: intervals and traces in dict order,
-    or the clash it reports."""
+    or the clash it reports, with the tags of each descriptor."""
     try:
-        return [(desc, iv.lo, iv.hi, iv.trace) for desc, iv in derive(SGFactBase(facts)).items()]
+        return [(desc, desc.tags, iv.lo, iv.hi, iv.trace) for desc, iv in derive(SGFactBase(facts)).items()]
     except InconsistentFactsError as err:
-        return ("clash", err.subject, err.lo_step, err.hi_step, str(err))
+        return ("clash", err.subject, err.subject.tags, err.lo_step, err.hi_step, str(err))
 
 
 def shape_facts(rng, shape, size, genus):
@@ -342,6 +344,42 @@ def test_criterion_9_derivation_bases_include_clashes(monkeypatch):
     assert any(isinstance(outcome(derive_bounds, facts), tuple) for facts in bases)
 
 
+def retagged(rng, facts):
+    """The facts with about half their descriptors replaced by equal copies
+    carrying tags of their own, so equal descriptors are distinct objects."""
+
+    def copy(desc):
+        if desc is None or rng.random() < 0.5:
+            return desc
+        return dataclasses.replace(desc, tags=(f"copy {rng.randrange(100)}",))
+
+    return [
+        dataclasses.replace(f, subject=copy(f.subject), parent=copy(f.parent), other=copy(f.other)) for f in facts
+    ]
+
+
+def test_retagged_copies_derive_as_the_full_resweep_keyed_by_the_first_seen():
+    rng = random.Random(1986)
+    bases = [random_fact_base(rng) for _ in range(300)]
+    for shape, size in (("chain", 30), ("mirror", 12), ("grid", 5)):
+        bases += [shape_facts(rng, shape, size, genus) for genus in range(3)]
+    for facts in bases:
+        facts = retagged(rng, facts)
+        rng.shuffle(facts)
+        assert_same_as_full_resweep(facts)
+        first_seen = {}
+        for fact in facts:
+            for desc in (fact.subject, fact.parent, fact.other):
+                if desc is not None:
+                    first_seen.setdefault(desc, desc)
+        try:
+            keys = list(derive_bounds(SGFactBase(facts)))
+        except InconsistentFactsError:
+            continue  # a clash names the clashing fact's object, as the oracle does
+        assert len(keys) == len(first_seen)
+        assert all(key is seen for key, seen in zip(keys, first_seen))
+
+
 @pytest.mark.parametrize("shape, size", [("chain", 120), ("mirror", 50), ("grid", 9)])
 def test_long_shapes_derive_as_the_full_resweep(shape, size):
     rng = random.Random(f"{shape}-{size}")
@@ -367,3 +405,36 @@ def test_deep_chain_derives_in_linear_time():
     assert (bounds[L].lo, bounds[L].hi) == (1, 2)
     assert (bounds[node].lo, bounds[node].hi) == (1, 2)
     assert elapsed < 2.0, elapsed
+
+
+def shuffled_chain(depth, rng):
+    """A stabilization chain of the given depth below L, with a genus-2 page
+    witness at L and a nonplanar-surgery fact at the deep end, shuffled."""
+    facts = [SGFact(kind=PAGE_WITNESS, subject=L, genus=2)]
+    node = L
+    for _ in range(depth):
+        sign = rng.choice((1, -1))
+        parent, node = node, stabilized(node, sign)
+        facts.append(SGFact(kind=STABILIZATION_OF, subject=node, parent=parent, sign=sign))
+    facts.append(SGFact(kind=NONPLANAR_SURGERY, subject=node))
+    rng.shuffle(facts)
+    return SGFactBase(facts)
+
+
+def test_derive_time_grows_linearly_with_chain_depth():
+    # four times the depth: about 4x the time when linear, 16x when
+    # quadratic.  The two depths run back to back, so the machine's speed,
+    # which drifts by up to 1.4x within seconds, cancels out of each
+    # round's ratio; the best of three rounds is kept.
+    rng = random.Random(8000)
+    short, deep = shuffled_chain(2000, rng), shuffled_chain(8000, rng)
+    ratios = []
+    for _ in range(3):
+        times = []
+        for base in (short, deep):
+            gc.collect()
+            start = time.perf_counter()
+            derive_bounds(base)
+            times.append(time.perf_counter() - start)
+        ratios.append(times[1] / times[0])
+    assert min(ratios) <= 6, ratios

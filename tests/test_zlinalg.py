@@ -124,6 +124,12 @@ def test_smith_zero_and_empty():
     assert z.rank == 0
 
 
+def test_random_matrix_keeps_its_columns_without_rows():
+    a = random_matrix(random.Random(0), 0, 5)
+    assert (a.rows, a.cols) == (0, 5)
+    assert kernel_basis(a) == IntMatrix.identity(5).data
+
+
 @pytest.mark.parametrize(
     "a, diagonal",
     [
