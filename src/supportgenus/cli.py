@@ -10,7 +10,8 @@ command computes one list of machine records; the human report is
 rendered from those records.
 
 Exit codes: 0 on success, 1 when a computation or derivation fails
-(including failed verify criteria), 2 when the input cannot be parsed.
+(including failed verify criteria), 2 when the input cannot be read or
+parsed or the report cannot be written.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ def _resolve_document(value: str) -> InputDocument:
         return parse_text(value)
     path = Path(value)
     if path.exists():
-        return parse_text(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFormatError(value, _reason(exc)) from exc
+        return parse_text(text)
     if value.removesuffix(".json") in FIXTURE_NAMES:
         return load_fixture(value)
     raise InputFormatError(
@@ -50,6 +55,12 @@ def _resolve_document(value: str) -> InputDocument:
         f"{value!r} is not a file, inline JSON, or a bundled fixture "
         f"(bundled: {', '.join(FIXTURE_NAMES)})",
     )
+
+
+def _reason(exc: Exception) -> str:
+    """Why a file could not be read or written, without the path that
+    ``str(exc)`` of an OSError repeats."""
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def _tb_records(doc: InputDocument) -> List[Record]:
@@ -262,7 +273,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         report = render(results) if results else f"no {empty} in document\n"
     if args.out:
-        Path(args.out).write_text(report)
+        try:
+            Path(args.out).write_text(report, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {args.out}: {_reason(exc)}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report)
     return code

@@ -6,7 +6,12 @@ of keyed records.  Band and one-handle labels are 1-based in files and
 0-based in memory.  Unknown keys are rejected everywhere, and every
 diagnostic names the offending section, index, and field.
 
-A valid document builds no such location: each value is first tested
+Each record type is one table of fields (``_SURFACE`` ... ``_FACT``),
+and :func:`parse_dict` and :func:`serialize` both walk it: fields are
+checked and written in table order, and one hook per record type checks
+across fields and builds the object once its unknown keys are rejected.
+
+A valid document builds no location string: each value is first tested
 in bulk or by exact type (``type(x) is int``, ``set(map(type, xs)) <=
 {int}``), and only a value that fails that test is walked again by the
 located checks, which raise with the first offender's location, or
@@ -58,8 +63,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter, eq, is_, itemgetter, not_
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ToolkitError
 from .hfbook import FormalHFModule, SpincSlot, hf_plus_surgery
@@ -163,33 +170,28 @@ def _expect_sign(value, location: str) -> int:
     return n
 
 
-def _expect_int_list(value, location: str) -> List[int]:
-    return [_expect_int(v, f"{location}[{i}]") for i, v in enumerate(_expect_list(value, location))]
-
-
-def _expect_str_list(value, location: str) -> List[str]:
-    return [_expect_str(v, f"{location}[{i}]") for i, v in enumerate(_expect_list(value, location))]
-
-
 _ABSENT = object()
 
 
 class _Record:
     """One record of a section, with typed takes and unknown-key rejection
-    on close.  A take with ``required=False`` reads a null value as absent."""
+    on close.  A take with ``required=False`` reads a null value as absent.
+    The record reads ``raw`` in place and never changes it."""
 
-    __slots__ = ("location", "data")
+    __slots__ = ("location", "data", "taken")
 
     def __init__(self, raw, location: str):
         self.location = location
-        self.data = dict(raw if type(raw) is dict else _expect_mapping(raw, location))
+        self.data = raw if type(raw) is dict else _expect_mapping(raw, location)
+        self.taken: List[str] = []
 
     def take(self, key: str, required: bool = False):
-        value = self.data.pop(key, _ABSENT)
+        value = self.data.get(key, _ABSENT)
         if value is _ABSENT:
             if required:
                 _fail(self.location, f"missing required field {key!r}")
             return None
+        self.taken.append(key)
         return value
 
     def str(self, key: str, required: bool = True):
@@ -220,171 +222,252 @@ class _Record:
         value = self.take(key, required)
         if (type(value) is list and set(map(type, value)) <= {int}) or (value is None and not required):
             return value
-        return _expect_int_list(value, self.at(key))
+        return [_expect_int(v, f"{self.at(key)}[{i}]") for i, v in enumerate(_expect_list(value, self.at(key)))]
 
     def strs(self, key: str, required: bool = True):
         value = self.take(key, required)
         if (type(value) is list and set(map(type, value)) <= {str}) or (value is None and not required):
             return value
-        return _expect_str_list(value, self.at(key))
+        return [_expect_str(v, f"{self.at(key)}[{i}]") for i, v in enumerate(_expect_list(value, self.at(key)))]
 
     def close(self) -> None:
-        if self.data:
-            extra = ", ".join(sorted(map(repr, self.data)))
+        if len(self.taken) != len(self.data):
+            extra = ", ".join(sorted(repr(key) for key in self.data if key not in self.taken))
             _fail(self.location, f"unknown field(s) {extra}")
 
     def at(self, key: str) -> str:
         return f"{self.location}.{key}"
 
 
-def _unique_name(rec: _Record, taken: Mapping[str, object]) -> str:
-    name = rec.str("name")
-    if name in taken:
-        _fail(rec.at("name"), f"duplicate name {name!r}")
+class _Context:
+    """What one parse shares: the document so far, one object per untagged
+    descriptor, and the surface's band count and crossings, or the Stein
+    problem's one-handle count, being read."""
+
+    def __init__(self):
+        self.doc = InputDocument()
+        self.shared: Dict[Tuple[str, int, int], LegendrianDesc] = {}
+        self.crossings: Dict[Tuple[int, int], int] = {}
+        self.bands = self.handles = 0
+
+
+class _Field(NamedTuple):
+    """One key of a record type.  ``take`` is the ``_Record`` method that
+    type-checks it (an optional field reads null as absent and skips its
+    load), ``load(value, rec, key, ctx)`` converts it into memory, ``get``
+    reads it off the object (a function, or an attribute path that defaults
+    to the key), ``dump`` converts it for the file, and ``omit(value)``
+    leaves it out.  A field with ``kinds`` belongs only to facts of those
+    kinds."""
+
+    key: str
+    take: Callable
+    required: bool = True
+    load: Optional[Callable] = None
+    get: object = None
+    dump: Optional[Callable] = None
+    omit: Callable = partial(is_, None)
+    kinds: Tuple[str, ...] = ()
+
+
+class _Spec:
+    """A record type: its fields in file order, and ``hook(rec, ctx,
+    *values)``, which checks across fields and builds the object; a
+    ToolkitError or ValueError it raises is located at the record."""
+
+    def __init__(self, *fields: _Field, hook: Callable):
+        self.fields = tuple(f if callable(f.get) else f._replace(get=attrgetter(f.get or f.key)) for f in fields)
+        self.hook = hook
+        # what parsing reads of each field, unpacked once per field
+        self.takes = tuple((f.key, f.take, f.required, f.load, f.kinds) for f in self.fields)
+
+
+def _parse(spec: _Spec, rec: _Record, ctx: _Context):
+    values: list = []
+    for key, take, required, load, kinds in spec.takes:
+        value = None
+        if not kinds or values[0] in kinds:
+            value = take(rec, key, required)
+            # a required raw value may be null, which its load rejects
+            if load is not None and (value is not None or required):
+                value = load(value, rec, key, ctx)
+        values.append(value)
+    rec.close()
+    try:
+        return spec.hook(rec, ctx, *values)
+    except InputFormatError:
+        raise
+    except (ToolkitError, ValueError) as exc:
+        raise InputFormatError(rec.location, str(exc)) from exc
+
+
+def _parse_all(spec: _Spec, entries: list, rec: _Record, key: str, ctx: _Context) -> tuple:
+    return tuple([_parse(spec, _Record(entry, f"{rec.at(key)}[{i}]"), ctx) for i, entry in enumerate(entries)])
+
+
+def _dump(spec: _Spec, obj) -> dict:
+    out = {}
+    for key, _take, _required, _load, get, dump, omit, _kinds in spec.fields:
+        value = get(obj)
+        if not omit(value):
+            out[key] = value if dump is None else dump(value)
+    return out
+
+
+def _dump_all(spec: _Spec, objs) -> list:
+    return [_dump(spec, obj) for obj in objs]
+
+
+def _records(key: str, spec: _Spec, **options) -> _Field:
+    """A field holding a list of ``spec`` records."""
+    options = {"load": partial(_parse_all, spec), "dump": partial(_dump_all, spec), **options}
+    return _Field(key, _Record.list, **options)
+
+
+# Conversions between file and memory.  Each builds a location only to
+# report a fault.
+
+
+def _feet(labels: List[int], rec: _Record, key: str, ctx: _Context) -> List[int]:
+    if len(labels) % 2:
+        _fail(rec.at(key), f"odd number of feet ({len(labels)})")
+    n = ctx.bands = len(labels) // 2
+    if labels and not (1 <= min(labels) and max(labels) <= n):
+        for i, label in enumerate(labels):
+            if not 1 <= label <= n:
+                _fail(f"{rec.at(key)}[{i}]", f"band label {label} outside 1..{n}")
+    return [f - 1 for f in labels]
+
+
+def _crossings(entries: list, rec: _Record, key: str, ctx: _Context) -> Dict[Tuple[int, int], int]:
+    """Crossing entries as {(i, j): count} with 0-based i <= j.  An entry
+    that fails the quick test is walked through ``_CROSSING``."""
+    n = ctx.bands
+    crossings = ctx.crossings = {}
+    bands_key, count_key = _CROSSING_KEYS
+    for i, entry in enumerate(entries):
+        if type(entry) is dict and len(entry) == 2:
+            bands, count = entry.get(bands_key), entry.get(count_key)
+            if type(bands) is list and len(bands) == 2 and type(count) is int:
+                a, b = bands
+                if type(a) is int and type(b) is int and 0 < a <= n and 0 < b <= n:
+                    pair = (a - 1, b - 1) if a <= b else (b - 1, a - 1)
+                    if pair not in crossings:
+                        crossings[pair] = count
+                        continue
+        pair, count = _parse(_CROSSING, _Record(entry, f"{rec.at(key)}[{i}]"), ctx)
+        crossings[pair] = count
+    return crossings
+
+
+def _band_pair(bands: List[int], rec: _Record, key: str, ctx: _Context) -> Tuple[int, int]:
+    n = ctx.bands
+    if len(bands) != 2:
+        _fail(rec.at(key), f"expected two band labels, got {len(bands)}")
+    a, b = bands
+    if not (1 <= a <= n and 1 <= b <= n):
+        _fail(rec.at(key), f"band pair {bands} must name bands in 1..{n}")
+    pair = (min(a, b) - 1, max(a, b) - 1)
+    if pair in ctx.crossings:
+        _fail(rec.at(key), f"band pair {bands} listed twice")
+    return pair
+
+
+def _reference(what: str, section: str, name: str, rec: _Record, key: str, ctx: _Context) -> str:
+    if name not in getattr(ctx.doc, section):
+        _fail(rec.at(key), f"dangling reference: no {what} named {name!r}")
     return name
 
 
-def _signed_word(value, location: str) -> Tuple[Tuple[int, int], ...]:
-    """Parse [[label, sign], ...] with 1-based labels into 0-based pairs."""
+def _signed_word(entries: list, rec: _Record, key: str, ctx: _Context) -> Tuple[Tuple[int, int], ...]:
+    """[[label, sign], ...] with 1-based labels as 0-based pairs."""
     word = []
-    for i, entry in enumerate(_expect_list(value, location)):
+    for i, entry in enumerate(entries):
         if type(entry) is list and len(entry) == 2:
             label, sign = entry
             if type(label) is int and type(sign) is int and label >= 1 and (sign == 1 or sign == -1):
                 word.append((label - 1, sign))
                 continue
-        here = f"{location}[{i}]"
+        here = f"{rec.at(key)}[{i}]"
         pair = _expect_list(entry, here)
         if len(pair) != 2:
             _fail(here, f"expected a [label, sign] pair, got {len(pair)} entries")
         label = _expect_int(pair[0], f"{here}[0]")
         if label < 1:
             _fail(f"{here}[0]", f"labels are 1-based, got {label}")
-        sign = _expect_sign(pair[1], f"{here}[1]")
-        word.append((label - 1, sign))
+        word.append((label - 1, _expect_sign(pair[1], f"{here}[1]")))
     return tuple(word)
 
 
-def _crossings(entries: list, location: str, n: int) -> Dict[Tuple[int, int], int]:
-    """Crossing entries as {(i, j): count} with 0-based i <= j.  An entry
-    that fails the quick test goes through the located :func:`_crossing`."""
-    crossings: Dict[Tuple[int, int], int] = {}
-    for i, entry in enumerate(entries):
-        if type(entry) is dict and len(entry) == 2:
-            bands, count = entry.get("bands"), entry.get("count")
-            if type(bands) is list and len(bands) == 2 and type(count) is int:
-                a, b = bands
-                if type(a) is int and type(b) is int and 0 < a <= n and 0 < b <= n:
-                    key = (a - 1, b - 1) if a <= b else (b - 1, a - 1)
-                    if key not in crossings:
-                        crossings[key] = count
-                        continue
-        key, count = _crossing(_Record(entry, f"{location}[{i}]"), n, crossings)
-        crossings[key] = count
-    return crossings
+def _handles(labels: List[str], rec: _Record, key: str, ctx: _Context) -> Tuple[str, ...]:
+    ctx.handles = len(labels)
+    return tuple(labels)
 
 
-def _crossing(sub: _Record, n: int, seen) -> Tuple[Tuple[int, int], int]:
-    """The located check of one crossing entry: raises on the first fault,
-    or returns (pair, count) when only a subclass failed the quick test."""
-    bands = sub.ints("bands")
-    count = sub.int("count")
-    sub.close()
-    if len(bands) != 2:
-        _fail(sub.at("bands"), f"expected two band labels, got {len(bands)}")
-    a, b = bands
-    if not (1 <= a <= n and 1 <= b <= n):
-        _fail(sub.at("bands"), f"band pair {bands} must name bands in 1..{n}")
-    key = (min(a, b) - 1, max(a, b) - 1)
-    if key in seen:
-        _fail(sub.at("bands"), f"band pair {bands} listed twice")
-    return key, count
+def _handle_vector(vector: List[int], rec: _Record, key: str, ctx: _Context) -> Tuple[int, ...]:
+    if len(vector) != ctx.handles:
+        _fail(rec.at(key), f"traversal vector has length {len(vector)}, expected {ctx.handles}")
+    return tuple(vector)
 
 
-def _parse_surface(rec: _Record) -> RibbonSurface:
-    feet_raw = rec.ints("feet_order")
-    if len(feet_raw) % 2:
-        _fail(rec.at("feet_order"), f"odd number of feet ({len(feet_raw)})")
-    n = len(feet_raw) // 2
-    if feet_raw and not (1 <= min(feet_raw) and max(feet_raw) <= n):
-        for i, label in enumerate(feet_raw):
-            if not 1 <= label <= n:
-                _fail(f"{rec.at('feet_order')}[{i}]", f"band label {label} outside 1..{n}")
-    feet = [f - 1 for f in feet_raw]
-    twists = rec.ints("twists", required=False)
-    entries = rec.list("crossings", required=False)
-    crossings = _crossings(entries, rec.at("crossings"), n) if entries is not None else {}
-    rec.close()
-    try:
-        return RibbonSurface(n, feet, twists, crossings)
-    except ToolkitError as exc:
-        raise InputFormatError(rec.location, str(exc)) from exc
+def _runs(entries: list, rec: _Record, key: str, ctx: _Context) -> Tuple[Tuple[int, int], ...]:
+    runs = _signed_word(entries, rec, key, ctx)
+    for i, (handle, _sign) in enumerate(runs):
+        if handle >= ctx.handles:
+            _fail(f"{rec.at(key)}[{i}][0]", f"one-handle label {handle + 1} outside 1..{ctx.handles}")
+    return runs
 
 
-def _parse_curve(rec: _Record, surfaces: Mapping[str, RibbonSurface]) -> CurveRecord:
-    surface_name = rec.str("surface")
-    if surface_name not in surfaces:
-        _fail(rec.at("surface"), f"dangling reference: no surface named {surface_name!r}")
-    surface = surfaces[surface_name]
-    coefficients = tuple(rec.ints("coefficients"))
-    traversal_raw = rec.take("traversal")
-    traversal = None
-    if traversal_raw is not None:
-        traversal = _signed_word(traversal_raw, rec.at("traversal"))
-    rec.close()
-    try:
-        curve = CurveClass(surface, coefficients, traversal)
-    except ToolkitError as exc:
-        raise InputFormatError(rec.location, str(exc)) from exc
-    return CurveRecord(surface_name=surface_name, curve=curve)
+def _descriptor(raw, rec: _Record, key: str, ctx: _Context) -> LegendrianDesc:
+    """An untagged descriptor on the quick path is looked up in
+    ``ctx.shared`` first, so equal ones are one object; any other is
+    walked through ``_DESCRIPTOR``."""
+    if type(raw) is dict and len(raw) == 3:
+        type_key, tb_key, rot_key = _DESCRIPTOR_KEYS
+        topo_type, tb, rot = raw.get(type_key), raw.get(tb_key), raw.get(rot_key)
+        if type(topo_type) is str and type(tb) is int and type(rot) is int:
+            desc = ctx.shared.get((topo_type, tb, rot))
+            if desc is None:
+                desc = ctx.shared[topo_type, tb, rot] = LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot)
+            return desc
+    return _parse(_DESCRIPTOR, _Record(raw, rec.at(key)), ctx)
 
 
-def _parse_open_book(rec: _Record, surfaces, curves) -> OpenBookRecord:
-    page_name = rec.str("page")
-    if page_name not in surfaces:
-        _fail(rec.at("page"), f"dangling reference: no surface named {page_name!r}")
-    steps: List[Tuple[str, int]] = []
-    word: List[Tuple[CurveClass, int]] = []
-    for i, entry in enumerate(rec.list("monodromy", required=False) or ()):
-        sub = _Record(entry, f"{rec.at('monodromy')}[{i}]")
-        curve_name = sub.str("curve")
-        sign = sub.sign("sign")
-        sub.close()
-        if curve_name not in curves:
-            _fail(sub.at("curve"), f"dangling reference: no curve named {curve_name!r}")
-        steps.append((curve_name, sign))
-        word.append((curves[curve_name].curve, sign))
-    rec.close()
-    try:
-        book = OpenBook(page=surfaces[page_name], monodromy=tuple(word))
-    except (ToolkitError, ValueError) as exc:
-        raise InputFormatError(rec.location, str(exc)) from exc
-    return OpenBookRecord(page_name=page_name, steps=tuple(steps), book=book)
+def _fact_kind(kind: str, rec: _Record, key: str, ctx: _Context) -> str:
+    if kind not in FACT_KINDS:
+        _fail(rec.at(key), f"unknown fact kind {kind!r}; known kinds: {', '.join(FACT_KINDS)}")
+    return kind
 
 
-def _parse_stein_curve(rec: _Record, p: int) -> SteinCurve:
-    name = rec.str("name")
-    runs_raw = rec.take("runs")
-    runs: Optional[Tuple[Tuple[int, int], ...]] = None
-    if runs_raw is not None:
-        runs = _signed_word(runs_raw, rec.at("runs"))
-        for i, (handle, _sign) in enumerate(runs):
-            if handle >= p:
-                _fail(f"{rec.at('runs')}[{i}][0]", f"one-handle label {handle + 1} outside 1..{p}")
-    traversal_raw = rec.ints("traversal", required=False)
-    if traversal_raw is not None:
-        traversal = tuple(traversal_raw)
-        if len(traversal) != p:
-            _fail(rec.at("traversal"), f"traversal vector has length {len(traversal)}, expected {p}")
-    elif runs is not None:
-        totals = [0] * p
+def _one_based(labels) -> List[int]:
+    return [label + 1 for label in labels]
+
+
+def _dump_word(word) -> List[List[int]]:
+    return [[label + 1, sign] for label, sign in word]
+
+
+def _open_book(rec: _Record, ctx: _Context, page: str, steps) -> OpenBookRecord:
+    steps = steps or ()
+    word = tuple([(ctx.doc.curves[name].curve, sign) for name, sign in steps])
+    return OpenBookRecord(page, steps, OpenBook(ctx.doc.surfaces[page], word))
+
+
+def _stein_problem(rec: _Record, ctx: _Context, one_handles, distinguished: str, curves) -> SteinProblem:
+    names = [c.name for c in curves]
+    if distinguished not in names:
+        _fail(rec.at("distinguished"), f"dangling reference: no curve named {distinguished!r}")
+    return SteinProblem(one_handles, curves, names.index(distinguished))
+
+
+def _stein_curve(rec: _Record, ctx: _Context, name: str, traversal, rotation, runs, twist_sign) -> SteinCurve:
+    if traversal is None:
+        if runs is None:
+            _fail(rec.location, f"curve {name!r} needs a traversal vector or a runs word")
+        totals = [0] * ctx.handles
         for handle, sign in runs:
             totals[handle] += sign
         traversal = tuple(totals)
-    else:
-        _fail(rec.location, f"curve {name!r} needs a traversal vector or a runs word")
-
-    rotation = rec.int("rotation", required=False)
     if rotation is None:
         if runs is None:
             _fail(
@@ -393,100 +476,114 @@ def _parse_stein_curve(rec: _Record, p: int) -> SteinCurve:
                 "the homology class alone does not determine the base rotation",
             )
         rotation = base_rotation_planar(runs)
-
-    twist_sign = rec.sign("twist_sign", required=False)
-    rec.close()
-    return SteinCurve(
-        name=name, traversal=traversal, rotation=rotation, runs=runs, twist_sign=1 if twist_sign is None else twist_sign
-    )
+    return SteinCurve(name, traversal, rotation, runs, 1 if twist_sign is None else twist_sign)
 
 
-def _parse_stein_problem(rec: _Record) -> SteinProblem:
-    one_handles = tuple(rec.strs("one_handles"))
-    distinguished_name = rec.str("distinguished")
-    curves: List[SteinCurve] = []
-    for i, entry in enumerate(rec.list("curves")):
-        curves.append(_parse_stein_curve(_Record(entry, f"{rec.at('curves')}[{i}]"), len(one_handles)))
-    names = [c.name for c in curves]
-    if distinguished_name not in names:
-        _fail(rec.at("distinguished"), f"dangling reference: no curve named {distinguished_name!r}")
-    rec.close()
-    try:
-        return SteinProblem(
-            one_handles=one_handles,
-            curves=tuple(curves),
-            distinguished=names.index(distinguished_name),
-        )
-    except (ToolkitError, ValueError) as exc:
-        raise InputFormatError(rec.location, str(exc)) from exc
-
-
-def _parse_hf_module(rec: _Record) -> FormalHFModule:
-    slots_raw = rec.take("slots")
-    surgery_raw = rec.take("trefoil_surgery")
-    if (slots_raw is None) == (surgery_raw is None):
+def _hf_module(rec: _Record, ctx: _Context, slots, surgery) -> FormalHFModule:
+    if (slots is None) == (surgery is None):
         _fail(rec.location, "give exactly one of 'slots' and 'trefoil_surgery'")
-    rec.close()
-    if surgery_raw is not None:
-        n = _expect_int(surgery_raw, rec.at("trefoil_surgery"))
-        try:
-            return hf_plus_surgery(n)
-        except ToolkitError as exc:
-            raise InputFormatError(rec.at("trefoil_surgery"), str(exc)) from exc
-    slots: List[SpincSlot] = []
-    for i, entry in enumerate(_expect_list(slots_raw, rec.at("slots"))):
-        sub = _Record(entry, f"{rec.at('slots')}[{i}]")
-        towers = sub.int("towers")
-        finite_z = sub.int("finite_z")
-        sub.close()
-        try:
-            slots.append(SpincSlot(towers=towers, finite_z=finite_z))
-        except ValueError as exc:
-            raise InputFormatError(sub.location, str(exc)) from exc
-    return FormalHFModule(slots=tuple(slots))
-
-
-def _descriptor(rec: _Record, key: str, shared: Dict[Tuple[str, int, int], LegendrianDesc]) -> LegendrianDesc:
-    """The descriptor under ``key``; untagged ones on the quick path are
-    looked up in ``shared`` first, so equal ones are one object."""
-    raw = rec.take(key, required=True)
-    if type(raw) is dict and len(raw) == 3:
-        topo_type, tb, rot = raw.get("type"), raw.get("tb"), raw.get("rot")
-        if type(topo_type) is str and type(tb) is int and type(rot) is int:
-            desc = shared.get((topo_type, tb, rot))
-            if desc is None:
-                desc = shared[topo_type, tb, rot] = LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot)
-            return desc
-    sub = _Record(raw, rec.at(key))
-    topo_type = sub.str("type")
-    tb = sub.int("tb")
-    rot = sub.int("rot")
-    tags = sub.strs("tags", required=False)
-    sub.close()
-    return LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot, tags=() if tags is None else tuple(tags))
-
-
-def _parse_fact(rec: _Record, shared: Dict[Tuple[str, int, int], LegendrianDesc]) -> SGFact:
-    kind = rec.str("kind")
-    if kind not in FACT_KINDS:
-        _fail(rec.at("kind"), f"unknown fact kind {kind!r}; known kinds: {', '.join(FACT_KINDS)}")
-    subject = _descriptor(rec, "subject", shared)
-    genus = parent = sign = other = None
-    if kind == PAGE_WITNESS:
-        genus = rec.int("genus")
-    elif kind == STABILIZATION_OF:
-        parent = _descriptor(rec, "parent", shared)
-        sign = rec.sign("sign")
-    elif kind == ORIENTATION_MIRROR:
-        other = _descriptor(rec, "other", shared)
-    note = rec.str("note", required=False)
-    rec.close()
+    if surgery is None:
+        return FormalHFModule(slots)
     try:
-        return SGFact(
-            kind=kind, subject=subject, genus=genus, parent=parent, sign=sign, other=other, note=note or ""
-        )
+        return hf_plus_surgery(surgery)
     except ToolkitError as exc:
-        raise InputFormatError(rec.location, str(exc)) from exc
+        raise InputFormatError(rec.at("trefoil_surgery"), str(exc)) from exc
+
+
+# The record tables.  Records of the five named sections are stored
+# under their name, which is their first key; Stein curves carry theirs.
+
+_NAME = _Field("name", _Record.str)
+_SURFACE_NAME = partial(_reference, "surface", "surfaces")
+
+_CROSSING = _Spec(
+    _Field("bands", _Record.ints, load=_band_pair, get=itemgetter(0), dump=_one_based),
+    _Field("count", _Record.int, get=itemgetter(1)),
+    hook=lambda rec, ctx, pair, count: (pair, count),
+)
+_SURFACE = _Spec(
+    _Field("feet_order", _Record.ints, load=_feet, dump=_one_based),
+    _Field("twists", _Record.ints, required=False, dump=list, omit=lambda twists: not any(twists)),
+    _records("crossings", _CROSSING, required=False, load=_crossings, omit=not_),
+    hook=lambda rec, ctx, feet, twists, crossings: RibbonSurface(len(feet) // 2, feet, twists, crossings),
+)
+_CURVE = _Spec(
+    _Field("surface", _Record.str, load=_SURFACE_NAME, get="surface_name"),
+    _Field("coefficients", _Record.ints, get="curve.coefficients", dump=list),
+    _Field("traversal", _Record.list, required=False, load=_signed_word, get="curve.traversal", dump=_dump_word),
+    hook=lambda rec, ctx, surface, coefficients, traversal: CurveRecord(
+        surface, CurveClass(ctx.doc.surfaces[surface], tuple(coefficients), traversal)
+    ),
+)
+_STEP = _Spec(
+    _Field("curve", _Record.str, load=partial(_reference, "curve", "curves"), get=itemgetter(0)),
+    _Field("sign", _Record.sign, get=itemgetter(1)),
+    hook=lambda rec, ctx, curve, sign: (curve, sign),
+)
+_OPEN_BOOK = _Spec(
+    _Field("page", _Record.str, load=_SURFACE_NAME, get="page_name"),
+    _records("monodromy", _STEP, required=False, get="steps"),
+    hook=_open_book,
+)
+_STEIN_CURVE = _Spec(
+    _NAME,
+    _Field("traversal", _Record.ints, required=False, load=_handle_vector, dump=list),
+    _Field("rotation", _Record.int, required=False),
+    _Field("runs", _Record.list, required=False, load=_runs, dump=_dump_word),
+    _Field("twist_sign", _Record.sign, required=False, omit=partial(eq, 1)),
+    hook=_stein_curve,
+)
+_STEIN_PROBLEM = _Spec(
+    _Field("one_handles", _Record.strs, load=_handles, dump=list),
+    _Field("distinguished", _Record.str, get="distinguished_curve.name"),
+    _records("curves", _STEIN_CURVE),
+    hook=_stein_problem,
+)
+_SLOT = _Spec(
+    _Field("towers", _Record.int),
+    _Field("finite_z", _Record.int),
+    hook=lambda rec, ctx, towers, finite_z: SpincSlot(towers, finite_z),
+)
+_HF_MODULE = _Spec(
+    _records("slots", _SLOT, required=False),
+    # read only: a module is written back as its slots
+    _Field("trefoil_surgery", _Record.int, required=False, get=lambda module: None),
+    hook=_hf_module,
+)
+_DESCRIPTOR = _Spec(
+    _Field("type", _Record.str, get="topo_type"),
+    _Field("tb", _Record.int),
+    _Field("rot", _Record.int),
+    _Field("tags", _Record.strs, required=False, dump=list, omit=not_),
+    hook=lambda rec, ctx, topo_type, tb, rot, tags: LegendrianDesc(topo_type, tb, rot, tuple(tags or ())),
+)
+_DESCRIPTOR_FIELD = partial(_Field, take=_Record.take, load=_descriptor, dump=partial(_dump, _DESCRIPTOR))
+_FACT = _Spec(
+    _Field("kind", _Record.str, load=_fact_kind),
+    _DESCRIPTOR_FIELD("subject"),
+    _Field("genus", _Record.int, kinds=(PAGE_WITNESS,)),
+    _DESCRIPTOR_FIELD("parent", kinds=(STABILIZATION_OF,)),
+    _Field("sign", _Record.sign, kinds=(STABILIZATION_OF,)),
+    _DESCRIPTOR_FIELD("other", kinds=(ORIENTATION_MIRROR,)),
+    _Field("note", _Record.str, required=False, omit=not_),
+    hook=lambda rec, ctx, kind, subject, genus, parent, sign, other, note: SGFact(
+        kind, subject, genus, parent, sign, other, note or ""
+    ),
+)
+
+# The keys the quick paths read straight off a plain dict.
+_CROSSING_KEYS = tuple(f.key for f in _CROSSING.fields)
+_DESCRIPTOR_KEYS = tuple(f.key for f in _DESCRIPTOR.fields if f.required)
+
+# Each section's key, record type, and whether its records are named.
+_SECTIONS = (
+    ("surfaces", _SURFACE, True),
+    ("curves", _CURVE, True),
+    ("open_books", _OPEN_BOOK, True),
+    ("stein_problems", _STEIN_PROBLEM, True),
+    ("hf_modules", _HF_MODULE, True),
+    ("facts", _FACT, False),
+)
 
 
 def _section(top: _Record, name: str) -> list:
@@ -499,41 +596,19 @@ def _section(top: _Record, name: str) -> list:
 def parse_dict(data: Mapping) -> InputDocument:
     """Resolve a decoded JSON object into an :class:`InputDocument`."""
     top = _Record(data, "document")
-    doc = InputDocument()
-
-    for i, entry in enumerate(_section(top, "surfaces")):
-        rec = _Record(entry, f"surfaces[{i}]")
-        name = _unique_name(rec, doc.surfaces)
-        doc.surfaces[name] = _parse_surface(rec)
-
-    for i, entry in enumerate(_section(top, "curves")):
-        rec = _Record(entry, f"curves[{i}]")
-        name = _unique_name(rec, doc.curves)
-        doc.curves[name] = _parse_curve(rec, doc.surfaces)
-
-    for i, entry in enumerate(_section(top, "open_books")):
-        rec = _Record(entry, f"open_books[{i}]")
-        name = _unique_name(rec, doc.open_books)
-        doc.open_books[name] = _parse_open_book(rec, doc.surfaces, doc.curves)
-
-    for i, entry in enumerate(_section(top, "stein_problems")):
-        rec = _Record(entry, f"stein_problems[{i}]")
-        name = _unique_name(rec, doc.stein_problems)
-        doc.stein_problems[name] = _parse_stein_problem(rec)
-
-    for i, entry in enumerate(_section(top, "hf_modules")):
-        rec = _Record(entry, f"hf_modules[{i}]")
-        name = _unique_name(rec, doc.hf_modules)
-        doc.hf_modules[name] = _parse_hf_module(rec)
-
-    facts: List[SGFact] = []
-    shared: Dict[Tuple[str, int, int], LegendrianDesc] = {}
-    for i, entry in enumerate(_section(top, "facts")):
-        facts.append(_parse_fact(_Record(entry, f"facts[{i}]"), shared))
-    doc.facts = tuple(facts)
-
+    ctx = _Context()
+    for key, spec, named in _SECTIONS:
+        records: dict = {}
+        for i, entry in enumerate(_section(top, key)):
+            rec = _Record(entry, f"{key}[{i}]")
+            name = rec.str(_NAME.key) if named else i
+            if name in records:
+                _fail(rec.at(_NAME.key), f"duplicate name {name!r}")
+            records[name] = _parse(spec, rec, ctx)
+        # later sections resolve references into the earlier ones
+        setattr(ctx.doc, key, records if named else tuple(records.values()))
     top.close()
-    return doc
+    return ctx.doc
 
 
 def parse_text(text: str) -> InputDocument:
@@ -553,94 +628,15 @@ def parse_text(text: str) -> InputDocument:
     return parse_dict(data)
 
 
-def _serialize_word(word: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    return [[label + 1, sign] for label, sign in word]
-
-
-def _serialize_descriptor(desc: LegendrianDesc) -> dict:
-    out = {"type": desc.topo_type, "tb": desc.tb, "rot": desc.rot}
-    if desc.tags:
-        out["tags"] = list(desc.tags)
-    return out
-
-
 def serialize(doc: InputDocument) -> dict:
     """The JSON-ready dict form of a document; inverse to :func:`parse_dict`."""
     out: dict = {}
-    if doc.surfaces:
-        out["surfaces"] = []
-        for name, surface in doc.surfaces.items():
-            rec: dict = {"name": name, "feet_order": [f + 1 for f in surface.feet_order]}
-            if any(surface.twists):
-                rec["twists"] = list(surface.twists)
-            if surface.crossings:
-                rec["crossings"] = [
-                    {"bands": [i + 1, j + 1], "count": c} for (i, j), c in surface.crossings
-                ]
-            out["surfaces"].append(rec)
-    if doc.curves:
-        out["curves"] = []
-        for name, record in doc.curves.items():
-            rec = {
-                "name": name,
-                "surface": record.surface_name,
-                "coefficients": list(record.curve.coefficients),
-            }
-            if record.curve.traversal is not None:
-                rec["traversal"] = _serialize_word(record.curve.traversal)
-            out["curves"].append(rec)
-    if doc.open_books:
-        out["open_books"] = []
-        for name, record in doc.open_books.items():
-            out["open_books"].append(
-                {
-                    "name": name,
-                    "page": record.page_name,
-                    "monodromy": [{"curve": c, "sign": s} for c, s in record.steps],
-                }
-            )
-    if doc.stein_problems:
-        out["stein_problems"] = []
-        for name, problem in doc.stein_problems.items():
-            curves = []
-            for curve in problem.curves:
-                rec = {"name": curve.name, "traversal": list(curve.traversal), "rotation": curve.rotation}
-                if curve.runs is not None:
-                    rec["runs"] = _serialize_word(curve.runs)
-                if curve.twist_sign != 1:
-                    rec["twist_sign"] = curve.twist_sign
-                curves.append(rec)
-            out["stein_problems"].append(
-                {
-                    "name": name,
-                    "one_handles": list(problem.one_handles),
-                    "distinguished": problem.distinguished_curve.name,
-                    "curves": curves,
-                }
-            )
-    if doc.hf_modules:
-        out["hf_modules"] = []
-        for name, module in doc.hf_modules.items():
-            out["hf_modules"].append(
-                {
-                    "name": name,
-                    "slots": [{"towers": s.towers, "finite_z": s.finite_z} for s in module.slots],
-                }
-            )
-    if doc.facts:
-        out["facts"] = []
-        for fact in doc.facts:
-            rec = {"kind": fact.kind, "subject": _serialize_descriptor(fact.subject)}
-            if fact.kind == PAGE_WITNESS:
-                rec["genus"] = fact.genus
-            elif fact.kind == STABILIZATION_OF:
-                rec["parent"] = _serialize_descriptor(fact.parent)
-                rec["sign"] = fact.sign
-            elif fact.kind == ORIENTATION_MIRROR:
-                rec["other"] = _serialize_descriptor(fact.other)
-            if fact.note:
-                rec["note"] = fact.note
-            out["facts"].append(rec)
+    for key, spec, named in _SECTIONS:
+        records = getattr(doc, key)
+        if records and named:
+            out[key] = [{_NAME.key: name, **_dump(spec, obj)} for name, obj in records.items()]
+        elif records:
+            out[key] = _dump_all(spec, records)
     return out
 
 

@@ -136,6 +136,8 @@ class RibbonSurface:
         twists: Optional[Sequence[int]] = None,
         crossings=None,
     ):
+        if not _is_integer(band_count):
+            raise MalformedSurfaceError(f"band_count is {band_count!r}, not an int")
         n = int(band_count)
         if n < 0:
             raise MalformedSurfaceError("band_count must be nonnegative")
@@ -143,7 +145,7 @@ class RibbonSurface:
         if len(feet) != 2 * n:
             raise MalformedSurfaceError(f"feet_order has {len(feet)} entries, expected {2 * n}")
         for label in feet:
-            if not (isinstance(label, int) and 0 <= label < n):
+            if not (_is_integer(label) and 0 <= label < n):
                 raise MalformedSurfaceError(f"feet_order entry {label!r} is not a band index in 0..{n - 1}")
         counts = Counter(feet)
         for i in range(n):
@@ -151,7 +153,7 @@ class RibbonSurface:
                 raise MalformedSurfaceError(f"band {i} has {counts[i]} feet in feet_order, expected 2")
 
         tw = tuple(twists) if twists is not None else (0,) * n
-        if len(tw) != n or any(not isinstance(t, int) for t in tw):
+        if len(tw) != n or not all(map(_is_integer, tw)):
             raise MalformedSurfaceError(f"twists must be {n} integers")
 
         cross = _canonical_crossings(n, crossings or {})
@@ -380,12 +382,12 @@ class OpenBook:
     monodromy: Tuple[Tuple[CurveClass, int], ...] = ()
 
     def __post_init__(self):
-        word = tuple((c, int(s)) for c, s in self.monodromy)
-        object.__setattr__(self, "monodromy", word)
+        word = tuple(self.monodromy)
         for curve, sign in word:
             require_same_surface(self.page, curve)
-            if sign not in (1, -1):
-                raise ValueError(f"monodromy signs must be +1 or -1, got {sign}")
+            if not _is_integer(sign) or sign not in (1, -1):
+                raise ValueError(f"monodromy signs must be +1 or -1, got {sign!r}")
+        object.__setattr__(self, "monodromy", tuple((c, int(s)) for c, s in word))
 
 
 def stabilize(open_book: OpenBook, insert_at: Tuple[int, int]) -> OpenBook:

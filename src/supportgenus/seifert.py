@@ -31,36 +31,16 @@ the dense route the tests compare it against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ribbon import CurveClass, RibbonSurface, require_same_surface
 from .zlinalg import IntMatrix
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
-    """The pairing V of a page, in the band-core basis."""
-
-    surface: RibbonSurface
-    pairing: IntMatrix
-
-    @property
-    def skew_part(self) -> IntMatrix:
-        """V - V^T, which equals minus the intersection form."""
-        return IntMatrix(
-            [
-                [self.pairing[i, j] - self.pairing[j, i] for j in range(self.pairing.cols)]
-                for i in range(self.pairing.rows)
-            ],
-            cols=self.pairing.cols,
-        )
-
-
-def seifert_matrix(surface: RibbonSurface) -> SeifertMatrix:
-    """Assemble the Seifert pairing from the band data.
+def seifert_matrix(surface: RibbonSurface) -> IntMatrix:
+    """The Seifert pairing V of a page in the band-core basis, assembled
+    from the band data.
 
     >>> from .ribbon import build_surface
-    >>> seifert_matrix(build_surface(1, [0, 0], twists=[3])).pairing
+    >>> seifert_matrix(build_surface(1, [0, 0], twists=[3]))
     IntMatrix([[3]])
     """
     n = surface.band_count
@@ -73,7 +53,7 @@ def seifert_matrix(surface: RibbonSurface) -> SeifertMatrix:
             c = surface.crossing_count(i, j)
             v[i][j] = (c - iform[i][j]) // 2
             v[j][i] = (c + iform[i][j]) // 2
-    return SeifertMatrix(surface=surface, pairing=IntMatrix(v, cols=n))
+    return IntMatrix(v, cols=n)
 
 
 def page_framing_self_linking(surface: RibbonSurface, curve: CurveClass) -> int:

@@ -70,10 +70,12 @@ def base_rotation_planar(runs: Sequence[Run]) -> int:
     >>> base_rotation_planar([(0, 1), (1, -1)])
     -1
     """
-    word = tuple((int(h), int(s)) for h, s in runs)
-    for _handle, sign in word:
-        if sign not in (1, -1):
-            raise ValueError(f"run signs must be +1 or -1, got {sign}")
+    word = tuple((h, s) for h, s in runs)
+    for i, run in enumerate(word):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in run):
+            raise ValueError(f"run {i} is {run!r}, not a pair of ints")
+        if run[1] not in (1, -1):
+            raise ValueError(f"run signs must be +1 or -1, got {run[1]}")
     if not word:
         return 0
     signs = [s for _h, s in word]

@@ -277,11 +277,12 @@ def dense_framing(pairing: IntMatrix, coeffs: Tuple[int, ...]) -> int:
 def _pairing_suite(rng: random.Random, count: int) -> Tuple[bool, str]:
     for _ in range(count):
         surface = random_surface(rng)
-        v = seifert_matrix(surface)
-        if v.skew_part != -intersection_form(surface):
+        v, j = seifert_matrix(surface), intersection_form(surface)
+        n = surface.band_count
+        if any(v[a, b] - v[b, a] != -j[a, b] for a in range(n) for b in range(n)):
             return False, f"V - V^T is not -J on {surface!r}"
-        coeffs = tuple(rng.randint(-3, 3) for _ in range(surface.band_count))
-        if page_framing_self_linking(surface, CurveClass(surface, coeffs)) != dense_framing(v.pairing, coeffs):
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
+        if page_framing_self_linking(surface, CurveClass(surface, coeffs)) != dense_framing(v, coeffs):
             return False, f"page framing of {coeffs} differs from K^T V K on {surface!r}"
     return True, ""
 

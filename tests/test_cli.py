@@ -152,6 +152,23 @@ def test_parse_failures_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["input-is-a-directory", "input-is-not-utf8", "output-directory-is-missing"])
+def test_unreadable_input_and_unwritable_output_exit_2(case, tmp_path, capsys):
+    if case == "input-is-a-directory":
+        path, argv = tmp_path, ["tb", "--input", str(tmp_path)]
+    elif case == "input-is-not-utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"surfaces": [{"name": "p\xe4ge", "feet_order": [1, 1]}]}'.encode("latin-1"))
+        argv = ["tb", "--input", str(path)]
+    else:
+        path = tmp_path / "missing" / "report.txt"
+        argv = ["tb", "--input", "fig1_torus_k1", "--out", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_deeply_nested_document_exits_2(capsys):
     doc = '{"facts": ' + "[" * 5000 + "]" * 5000 + "}"
     assert main(["sg-bounds", "--input", doc]) == 2

@@ -1,13 +1,17 @@
 import json
 import random
+import re
 import time
 from collections import OrderedDict
+from importlib import resources
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supportgenus import inputdoc
 from supportgenus.fixtures import FIXTURE_NAMES, build_fixture, load_fixture
 from supportgenus.hfbook import FormalHFModule, SpincSlot, hf_plus_surgery
 from supportgenus.inputdoc import (
@@ -122,9 +126,38 @@ def test_descriptor_tags_survive_a_round_trip():
 
 
 def test_bundled_files_match_their_builders():
-    # the shipped JSON is generated; this is the drift guard
+    # the shipped JSON is generated by write_fixture_files; this is the drift guard
+    shipped = resources.files("supportgenus").joinpath("fixtures")
     for name in FIXTURE_NAMES:
-        assert load_fixture(name) == build_fixture(name), name
+        built = build_fixture(name)
+        assert load_fixture(name) == built, name
+        assert shipped.joinpath(f"{name}.json").read_text(encoding="utf-8") == serialize_text(built), name
+
+
+def _keys(value):
+    if type(value) is dict:
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif type(value) is list:
+        for item in value:
+            yield from _keys(item)
+
+
+def test_the_annotated_examples_name_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = [
+        readme.split("```jsonc\n", 1)[1].split("```", 1)[0],
+        inputdoc.__doc__.split("Annotated example::\n", 1)[1].split("\n(JSON itself", 1)[0],
+    ]
+    named = set()
+    for example in examples:
+        text = re.sub(r"//.*", "", example)
+        parse_text(text)
+        named.update(_keys(json.loads(text)))
+    specs = [value for value in vars(inputdoc).values() if isinstance(value, inputdoc._Spec)]
+    declared = {f.key for spec in specs for f in spec.fields} | {key for key, _, _ in inputdoc._SECTIONS}
+    assert len(specs) == 11 and declared - named == set(), sorted(declared - named)
 
 
 def test_unknown_fixture_name():

@@ -16,6 +16,7 @@ from supportgenus.ribbon import (
     is_nonseparating,
     stabilize,
 )
+from supportgenus.stein import base_rotation_planar
 from supportgenus.verify import random_surface
 from supportgenus.zlinalg import IntMatrix
 
@@ -269,6 +270,40 @@ def test_curve_entries_must_be_ints_and_not_bools():
     curve = CurveClass(torus, [Count(1), 1], traversal=[[0, Count(1)], (1, 1)])
     assert curve.coefficients == (1, 1) and curve.traversal == ((0, 1), (1, 1))
     assert {type(x) for x in curve.coefficients + curve.traversal[0]} == {int}
+
+
+def test_surface_run_and_monodromy_inputs_must_be_ints():
+    annulus = RibbonSurface(1, [0, 0])
+    core = CurveClass(annulus, (1,))
+    cases = [
+        (lambda: RibbonSurface(1.9, [0, 0]), MalformedSurfaceError, "band_count is 1.9, not an int"),
+        (lambda: RibbonSurface("1", [0, 0]), MalformedSurfaceError, "band_count is '1', not an int"),
+        (lambda: RibbonSurface(True, [0, 0]), MalformedSurfaceError, "band_count is True, not an int"),
+        (lambda: RibbonSurface(1, [0, 0], twists=[True]), MalformedSurfaceError, "twists must be 1 integers"),
+        (
+            lambda: RibbonSurface(1, [0, True]),
+            MalformedSurfaceError,
+            "feet_order entry True is not a band index in 0..0",
+        ),
+        (lambda: base_rotation_planar([(0, 1.5), (1.2, -1)]), ValueError, "run 0 is (0, 1.5), not a pair of ints"),
+        (lambda: base_rotation_planar([(0, 1), ("1", -1)]), ValueError, "run 1 is ('1', -1), not a pair of ints"),
+        (lambda: base_rotation_planar([(True, 1)]), ValueError, "run 0 is (True, 1), not a pair of ints"),
+        (lambda: OpenBook(annulus, ((core, 1.9),)), ValueError, "monodromy signs must be +1 or -1, got 1.9"),
+        (lambda: OpenBook(annulus, ((core, "1"),)), ValueError, "monodromy signs must be +1 or -1, got '1'"),
+        (lambda: OpenBook(annulus, ((core, True),)), ValueError, "monodromy signs must be +1 or -1, got True"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+    class Count(int):
+        pass
+
+    assert RibbonSurface(Count(1), [0, 0]).band_count == 1
+    assert base_rotation_planar([(Count(0), Count(1)), (1, -1)]) == -1
+    book = OpenBook(annulus, ((core, Count(-1)),))
+    assert book.monodromy == ((core, -1),) and type(book.monodromy[0][1]) is int
 
 
 def brute_interleaving(feet, n):
