@@ -21,9 +21,7 @@ from __future__ import annotations
 from .errors import ToolkitError
 from .fixtures import FIXTURE_NAMES, build_fixture, load_fixture, write_fixture_files
 from .hfbook import (
-    ContactClassSet,
     FormalHFModule,
-    MissingAssumptionError,
     SpincSlot,
     SurgeryRangeError,
     hf_hat,
@@ -51,7 +49,6 @@ from .ribbon import (
     build_surface,
     dehn_twist_action,
     intersection_form,
-    is_nonseparating,
     stabilize,
 )
 from .seifert import page_framing_self_linking, seifert_matrix
@@ -92,7 +89,6 @@ from .zlinalg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContactClassSet",
     "CurveClass",
     "CurveMismatchError",
     "CurveRecord",
@@ -107,7 +103,6 @@ __all__ = [
     "KernelObstructionError",
     "LegendrianDesc",
     "MalformedSurfaceError",
-    "MissingAssumptionError",
     "OpenBook",
     "OpenBookRecord",
     "RibbonSurface",
@@ -135,7 +130,6 @@ __all__ = [
     "hf_plus_surgery",
     "hf_red_rank",
     "intersection_form",
-    "is_nonseparating",
     "kernel_basis",
     "load_fixture",
     "page_framing_self_linking",

@@ -42,7 +42,8 @@ def _resolve_document(value: str) -> InputDocument:
     if value.lstrip().startswith("{"):
         return parse_text(value)
     path = Path(value)
-    if path.exists():
+    # Path("") is the working directory
+    if value and path.exists():
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

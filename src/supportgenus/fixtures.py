@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from .hfbook import ContactClassSet, hf_hat, hf_plus_surgery, hf_red_rank, pigeonhole_excess, trefoil_rotation_list
+from .hfbook import hf_hat, hf_plus_surgery, hf_red_rank, pigeonhole_excess, trefoil_rotation_list
 from .inputdoc import CurveRecord, InputDocument, InputFormatError, OpenBookRecord, parse_text, serialize_text
 from .ribbon import CurveClass, OpenBook, build_surface
 from .seifert import page_framing_self_linking
@@ -128,8 +128,7 @@ def hf_trefoil(n: int) -> InputDocument:
     module = hf_plus_surgery(n)
     assert hf_hat(module) == (3,) + (1,) * n
     assert hf_red_rank(module) == 1
-    classes = ContactClassSet(len(trefoil_rotation_list(n)), distinctness=True, exclusion=True)
-    assert pigeonhole_excess(classes, module) == 1
+    assert pigeonhole_excess(len(trefoil_rotation_list(n)), module) == 1
     doc = InputDocument()
     doc.hf_modules["surgery"] = module
     return doc
@@ -273,8 +272,8 @@ def thm15_facts() -> InputDocument:
     deep = plus[depth]
     n = -deep.tb
     module = hf_plus_surgery(n)
-    classes = ContactClassSet(len(trefoil_rotation_list(n)), distinctness=True, exclusion=True)
-    excess = pigeonhole_excess(classes, module)
+    class_count = len(trefoil_rotation_list(n))
+    excess = pigeonhole_excess(class_count, module)
     assert excess >= 1 and hf_red_rank(module) >= 1
     assert deep.rot in trefoil_rotation_list(n)
     facts.append(
@@ -282,7 +281,7 @@ def thm15_facts() -> InputDocument:
             kind=NONPLANAR_SURGERY,
             subject=deep,
             note=f"surgery with parameter {n} has {module.total_towers} towers for "
-            f"{classes.class_count} distinct primitive contact classes, excess {excess}",
+            f"{class_count} distinct primitive contact classes, excess {excess}",
         )
     )
     doc.hf_modules["surgery"] = module

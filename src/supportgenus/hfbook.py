@@ -25,10 +25,6 @@ class SurgeryRangeError(ToolkitError):
     """The requested surgery parameter is outside the recorded range."""
 
 
-class MissingAssumptionError(ToolkitError):
-    """A pigeonhole count was requested without its hypotheses."""
-
-
 @dataclass(frozen=True)
 class SpincSlot:
     """Summand counts of one Spin^c structure."""
@@ -37,8 +33,11 @@ class SpincSlot:
     finite_z: int
 
     def __post_init__(self):
-        if self.towers < 0 or self.finite_z < 0:
-            raise ValueError("summand counts must be nonnegative")
+        for count in (self.towers, self.finite_z):
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise ValueError(f"summand counts must be ints, got {count!r}")
+            if count < 0:
+                raise ValueError("summand counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -54,21 +53,6 @@ class FormalHFModule:
     @property
     def total_towers(self) -> int:
         return sum(s.towers for s in self.slots)
-
-
-@dataclass(frozen=True)
-class ContactClassSet:
-    """A family of contact invariant classes in HF^+ and the two
-    hypotheses the pigeonhole count needs: the classes are distinct and
-    primitive, and no two of them fit in a single tower summand."""
-
-    class_count: int
-    distinctness: bool = False
-    exclusion: bool = False
-
-    def __post_init__(self):
-        if self.class_count < 0:
-            raise ValueError("class_count must be nonnegative")
 
 
 def hf_plus_surgery(n: int) -> FormalHFModule:
@@ -98,22 +82,20 @@ def hf_red_rank(module: FormalHFModule) -> int:
     return sum(s.finite_z for s in module.slots)
 
 
-def pigeonhole_excess(classes: ContactClassSet, module: FormalHFModule) -> int:
-    """How many classes cannot sit inside tower summands.
+def pigeonhole_excess(class_count: int, module: FormalHFModule) -> int:
+    """How many of ``class_count`` contact classes cannot sit inside
+    tower summands.
 
-    Requires both hypotheses on the class set; refusing to count
-    without them keeps the nonplanarity conclusion honest.
+    The count rests on two premises about the classes, which the caller
+    answers for: they are distinct and primitive, and no two of them fit
+    in a single tower summand.
+
+    >>> pigeonhole_excess(9, hf_plus_surgery(7))
+    1
     """
-    missing = []
-    if not classes.distinctness:
-        missing.append("distinctness")
-    if not classes.exclusion:
-        missing.append("exclusion")
-    if missing:
-        raise MissingAssumptionError(
-            f"pigeonhole count needs the {' and '.join(missing)} hypothesis on the class set"
-        )
-    return max(0, classes.class_count - module.total_towers)
+    if class_count < 0:
+        raise ValueError("class_count must be nonnegative")
+    return max(0, class_count - module.total_towers)
 
 
 def trefoil_rotation_list(n: int) -> Tuple[int, ...]:

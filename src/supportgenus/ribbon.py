@@ -334,17 +334,6 @@ def require_same_surface(surface: RibbonSurface, curve: CurveClass) -> None:
         raise CurveMismatchError("curve was built on a different page")
 
 
-def is_nonseparating(surface: RibbonSurface, curve: CurveClass) -> bool:
-    """Whether the class is homologically essential on the page.
-
-    This is the Legendrian realizability gate: a curve on a supporting
-    page can be made Legendrian with contact framing equal to page
-    framing exactly when it is homologically nontrivial.
-    """
-    require_same_surface(surface, curve)
-    return any(c != 0 for c in curve.coefficients)
-
-
 def intersection_form(surface: RibbonSurface) -> IntMatrix:
     """Skew-symmetric intersection pairing on the band-core basis."""
     return IntMatrix(surface.intersection, cols=surface.band_count)

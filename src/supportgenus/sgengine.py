@@ -118,7 +118,8 @@ class SGFact:
         if self.kind not in FACT_KINDS:
             raise FactError(f"unknown fact kind {self.kind!r}")
         if self.kind == PAGE_WITNESS:
-            if self.genus is None or self.genus < 0:
+            genus = self.genus
+            if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
                 raise FactError(f"page-witness on {self.subject.label()} needs a genus >= 0")
         elif self.kind == POSITIVE_TB:
             if self.subject.tb <= 0:
@@ -161,8 +162,8 @@ def stabilized(desc: LegendrianDesc, sign: int) -> LegendrianDesc:
     negative one lowers it, so tb + rot changes by 0 or -2 and parity is
     preserved along any stabilization chain.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"stabilization sign must be +1 or -1, got {sign}")
+    if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+        raise ValueError(f"stabilization sign must be +1 or -1, got {sign!r}")
     return LegendrianDesc(desc.topo_type, desc.tb - 1, desc.rot + sign, desc.tags)
 
 

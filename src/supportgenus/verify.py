@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .fixtures import load_fixture
-from .hfbook import ContactClassSet, hf_hat, hf_red_rank, pigeonhole_excess, trefoil_rotation_list
+from .hfbook import hf_hat, hf_red_rank, pigeonhole_excess, trefoil_rotation_list
 from .ribbon import CurveClass, RibbonSurface, dehn_twist_action, intersection_form, interleaving_form
 from .seifert import page_framing_self_linking, seifert_matrix
 from .sgengine import (
@@ -30,6 +30,7 @@ from .sgengine import (
     derive_bounds,
     replay_trace,
     stabilized,
+    trefoil_mountain_check,
 )
 from .stein import boundary_matrix, c1_cochain, format_cycle, rotation_number
 from .zlinalg import IntMatrix, kernel_basis, smith_normal_form, solve_integer
@@ -123,16 +124,16 @@ def _criterion_6() -> Check:
             return False, f"n={n}: hat ranks {hf_hat(module)}"
         if hf_red_rank(module) != 1:
             return False, f"n={n}: reduced rank {hf_red_rank(module)}"
-        classes = ContactClassSet(n + 2, distinctness=True, exclusion=True)
-        if pigeonhole_excess(classes, module) != 1:
-            return False, f"n={n}: excess {pigeonhole_excess(classes, module)}"
+        if pigeonhole_excess(n + 2, module) != 1:
+            return False, f"n={n}: excess {pigeonhole_excess(n + 2, module)}"
     return True, "hat ranks (3,1,...,1), reduced rank 1, excess 1 for n=7..12"
 
 
 def _criterion_7() -> Check:
     for n in range(1, 13):
+        # the oracle is the classification's mountain range, read at tb = -n
         got = trefoil_rotation_list(n)
-        want = tuple(2 * i - n - 3 for i in range(1, n + 3))
+        want = tuple(rot for rot in range(-n - 3, n + 4) if trefoil_mountain_check(-n, rot))
         if got != want:
             return False, f"n={n}: rotation list {got}, expected {want}"
         if len(set(got)) != len(got):

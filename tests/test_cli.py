@@ -148,6 +148,11 @@ def test_parse_failures_exit_2(capsys):
     err = capsys.readouterr().err
     assert "bundled" in err and "fig1_torus_k1" in err
 
+    # an empty value is not a path: Path("") would be the working directory
+    assert main(["tb", "--input", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: document: '' is not a file, inline JSON, or a bundled fixture (bundled: "), err
+
     assert main(["tb", "--input", "missing_file.json"]) == 2
     assert "error:" in capsys.readouterr().err
 

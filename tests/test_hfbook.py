@@ -1,9 +1,7 @@
 import pytest
 
 from supportgenus.hfbook import (
-    ContactClassSet,
     FormalHFModule,
-    MissingAssumptionError,
     SpincSlot,
     SurgeryRangeError,
     hf_hat,
@@ -42,26 +40,15 @@ def test_slot_counts_must_be_nonnegative():
     with pytest.raises(ValueError):
         SpincSlot(-1, 0)
     with pytest.raises(ValueError):
-        ContactClassSet(-2)
-
-
-def test_pigeonhole_needs_both_hypotheses():
-    module = hf_plus_surgery(7)
-    with pytest.raises(MissingAssumptionError, match="distinctness and exclusion"):
-        pigeonhole_excess(ContactClassSet(9), module)
-    with pytest.raises(MissingAssumptionError, match="exclusion"):
-        pigeonhole_excess(ContactClassSet(9, distinctness=True), module)
-    with pytest.raises(MissingAssumptionError, match="distinctness"):
-        pigeonhole_excess(ContactClassSet(9, exclusion=True), module)
+        pigeonhole_excess(-2, hf_plus_surgery(7))
 
 
 def test_pigeonhole_excess_values():
     module = hf_plus_surgery(7)
-    ok = dict(distinctness=True, exclusion=True)
-    assert pigeonhole_excess(ContactClassSet(9, **ok), module) == 1
-    assert pigeonhole_excess(ContactClassSet(8, **ok), module) == 0
-    assert pigeonhole_excess(ContactClassSet(3, **ok), module) == 0
-    assert pigeonhole_excess(ContactClassSet(20, **ok), module) == 12
+    assert pigeonhole_excess(9, module) == 1
+    assert pigeonhole_excess(8, module) == 0
+    assert pigeonhole_excess(3, module) == 0
+    assert pigeonhole_excess(20, module) == 12
 
 
 def test_rotation_list_values():

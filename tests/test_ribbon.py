@@ -13,7 +13,6 @@ from supportgenus.ribbon import (
     dehn_twist_action,
     interleaving_form,
     intersection_form,
-    is_nonseparating,
     stabilize,
 )
 from supportgenus.stein import base_rotation_planar
@@ -95,15 +94,6 @@ def test_curve_class_validation():
         CurveClass(pants, (1, 0), traversal=((0, 2),))  # bad sign
     with pytest.raises(CurveMismatchError):
         CurveClass(pants, (1, 0), traversal=((5, 1),))  # bad band
-
-
-def test_is_nonseparating():
-    pants = build_surface(2, [0, 0, 1, 1])
-    assert is_nonseparating(pants, CurveClass(pants, (1, 0)))
-    assert not is_nonseparating(pants, CurveClass(pants, (0, 0)))
-    other = build_surface(2, [0, 1, 0, 1], crossings={(0, 1): 1})
-    with pytest.raises(CurveMismatchError):
-        is_nonseparating(pants, CurveClass(other, (1, 0)))
 
 
 def test_twist_action_preserves_form():

@@ -7,6 +7,7 @@ import pytest
 
 from supportgenus import verify
 from supportgenus.fixtures import load_fixture
+from supportgenus.hfbook import FormalHFModule, SpincSlot, hf_hat
 from supportgenus.sgengine import (
     CLASSIFICATION_AXIOM,
     NONPLANAR_SURGERY,
@@ -29,6 +30,25 @@ from supportgenus.sgengine import (
 from supportgenus.verify import random_fact_base
 
 L = LegendrianDesc("torus(2,3)", tb=1, rot=0)
+
+
+def test_counts_signs_and_genera_must_be_ints():
+    for bad in (1.5, 1.0, "1", True):
+        with pytest.raises(ValueError, match=f"summand counts must be ints, got {bad!r}"):
+            SpincSlot(bad, 0)
+        with pytest.raises(ValueError, match=f"summand counts must be ints, got {bad!r}"):
+            SpincSlot(1, bad)
+        with pytest.raises(ValueError, match=f"stabilization sign must be \\+1 or -1, got {bad!r}"):
+            stabilized(L, bad)
+        with pytest.raises(FactError, match="needs a genus >= 0"):
+            SGFact(kind=PAGE_WITNESS, subject=L, genus=bad)
+
+    class Count(int):
+        pass
+
+    assert hf_hat(FormalHFModule((SpincSlot(Count(1), Count(1)),))) == (3,)
+    assert stabilized(L, Count(1)) == LegendrianDesc("torus(2,3)", 0, 1)
+    assert SGFact(kind=PAGE_WITNESS, subject=L, genus=Count(1)).genus == 1
 
 
 def test_descriptor_identity_ignores_tags():
