@@ -57,7 +57,6 @@ from .sgengine import (
     InconsistentFactsError,
     LegendrianDesc,
     SGFact,
-    SGFactBase,
     SGInterval,
     TraceStep,
     derive_bounds,
@@ -108,7 +107,6 @@ __all__ = [
     "RibbonSurface",
     "RotationResult",
     "SGFact",
-    "SGFactBase",
     "SGInterval",
     "SpincSlot",
     "SteinCurve",

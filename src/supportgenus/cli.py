@@ -136,7 +136,7 @@ def _sg_bounds_records(doc: InputDocument) -> List[Record]:
                 for step in interval.trace
             ],
         }
-        for desc, interval in derive_bounds(doc.fact_base()).items()
+        for desc, interval in derive_bounds(doc.facts).items()
     ]
 
 

@@ -106,6 +106,6 @@ def trefoil_rotation_list(n: int) -> Tuple[int, ...]:
     >>> trefoil_rotation_list(1)
     (-2, 0, 2)
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SurgeryRangeError(f"rotation list is recorded for n >= 1, got {n!r}")
     return tuple(2 * i - n - 3 for i in range(1, n + 3))

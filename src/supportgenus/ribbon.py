@@ -99,7 +99,9 @@ def _canonical_crossings(band_count: int, crossings) -> Tuple[Tuple[Tuple[int, i
     out: Dict[Tuple[int, int], int] = {}
     items = crossings.items() if isinstance(crossings, Mapping) else crossings
     for key, count in items:
-        i, j = key
+        if not (isinstance(key, (tuple, list)) and len(key) == 2 and _is_integer(key[0]) and _is_integer(key[1])):
+            raise MalformedSurfaceError(f"crossing entry {key!r} is not a pair of int band indices")
+        i, j = int(key[0]), int(key[1])
         if not (0 <= i < band_count and 0 <= j < band_count):
             raise MalformedSurfaceError(f"crossing entry names band pair {key} outside 0..{band_count - 1}")
         if not isinstance(count, int):

@@ -127,7 +127,10 @@ class SGFact:
                     f"positive-tb asserted on {self.subject.label()}, whose tb is not positive"
                 )
         elif self.kind == STABILIZATION_OF:
-            if self.parent is None or self.sign not in (1, -1):
+            sign = self.sign
+            if not isinstance(sign, int) or isinstance(sign, bool):
+                sign = None  # 1.0 and True equal 1, but serialize as 1.0 and true
+            if self.parent is None or sign not in (1, -1):
                 raise FactError("stabilization-of needs a parent and a sign of +1 or -1")
             subject, parent = self.subject, self.parent
             expected = (parent.topo_type, parent.tb - 1, parent.rot + self.sign)
@@ -167,47 +170,6 @@ def stabilized(desc: LegendrianDesc, sign: int) -> LegendrianDesc:
     return LegendrianDesc(desc.topo_type, desc.tb - 1, desc.rot + sign, desc.tags)
 
 
-class SGFactBase:
-    """A mutable collection of descriptors and facts.
-
-    stabilization-of facts validate that tb drops by exactly one from
-    parent to subject, so chains cannot close into cycles.
-    """
-
-    def __init__(self, facts: Iterable[SGFact] = ()):
-        self.facts: List[SGFact] = []
-        for fact in facts:
-            self.add(fact)
-
-    def add(self, fact: SGFact) -> SGFact:
-        if not isinstance(fact, SGFact):
-            raise FactError(f"expected SGFact, got {type(fact).__name__}")
-        self.facts.append(fact)
-        return fact
-
-    def descriptors(self) -> Tuple[LegendrianDesc, ...]:
-        """The distinct descriptors, each as the first object seen, in the
-        order the facts name them."""
-        seen: Dict[Tuple[str, int, int], LegendrianDesc] = {}
-        for fact in self.facts:
-            for desc in (fact.subject, fact.parent, fact.other):
-                if desc is not None:
-                    seen.setdefault((desc.topo_type, desc.tb, desc.rot), desc)
-        return tuple(seen.values())
-
-    def __iter__(self):
-        return iter(self.facts)
-
-    def __len__(self):
-        return len(self.facts)
-
-    def __eq__(self, other):
-        return isinstance(other, SGFactBase) and self.facts == other.facts
-
-    def __repr__(self):
-        return f"SGFactBase({len(self.facts)} facts, {len(self.descriptors())} descriptors)"
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One bound improvement: which rule, which side, what value, why."""
@@ -233,9 +195,6 @@ class SGInterval:
     def __str__(self):
         upper = "unbounded" if self.hi is None else str(self.hi)
         return f"[{self.lo}, {upper}]"
-
-    def is_pinned(self) -> bool:
-        return self.hi is not None and self.lo == self.hi
 
 
 def replay_trace(trace: Iterable[TraceStep]) -> Tuple[int, Optional[int]]:
@@ -277,19 +236,22 @@ _RULES: Dict[str, Callable[..., Tuple[tuple, ...]]] = {
 }
 
 
-def derive_bounds(base: SGFactBase) -> Dict[LegendrianDesc, SGInterval]:
+def derive_bounds(facts: Iterable[SGFact]) -> Dict[LegendrianDesc, SGInterval]:
     """Run the rules to a fixed point and return an interval per descriptor.
 
     Rules only tighten intervals, so the result is the least fixed point
     and is independent of fact order; traces record one justification
     for every improvement and can be replayed with
     :func:`replay_trace`.  An empty interval raises
-    :class:`InconsistentFactsError` naming the clashing justifications.
+    :class:`InconsistentFactsError` naming the clashing justifications,
+    and anything in ``facts`` that is not an :class:`SGFact` raises
+    :class:`FactError`.
 
-    Each descriptor is numbered once, by its (topo_type, tb, rot) in
-    :meth:`SGFactBase.descriptors` order, and the first object seen keeps
-    its place as the result key; from then on the moves and cells work on
-    those numbers.  Sweeps run the moves in fact order, but only the dirty
+    One pass over the facts compiles their moves and numbers each
+    descriptor by its (topo_type, tb, rot) when first seen, over subject,
+    parent and other in fact order; that first object keeps its place as
+    the result key, and from then on the moves and cells work on the
+    numbers.  Sweeps run the moves in fact order, but only the dirty
     ones: a move is dirty when the bound it reads has changed since it last
     ran, and a move with a constant is dirty in the first sweep.  A change
     made by move m makes each reader m' > m dirty in this sweep and each
@@ -299,14 +261,20 @@ def derive_bounds(base: SGFactBase) -> Dict[LegendrianDesc, SGInterval]:
     traces and clash are those of re-running every fact until a sweep
     changes nothing.
     """
-    descs = base.descriptors()
-    number = {(desc.topo_type, desc.tb, desc.rot): i for i, desc in enumerate(descs)}
+    number: Dict[Tuple[str, int, int], int] = {}
+    descs: List[LegendrianDesc] = []
     moves: List[tuple] = []
-    for fact in base.facts:
-        ids = [
-            None if desc is None else number[desc.topo_type, desc.tb, desc.rot]
-            for desc in (fact.subject, fact.parent, fact.other)
-        ]
+    for fact in facts:
+        if not isinstance(fact, SGFact):
+            raise FactError(f"expected SGFact, got {type(fact).__name__}")
+        ids = []
+        for desc in (fact.subject, fact.parent, fact.other):
+            i = None
+            if desc is not None:
+                i = number.setdefault((desc.topo_type, desc.tb, desc.rot), len(descs))
+                if i == len(descs):
+                    descs.append(desc)
+            ids.append(i)
         moves += _RULES[fact.kind](fact, fact.describe(), *ids)
 
     lo = [0] * len(descs)

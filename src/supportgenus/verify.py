@@ -26,7 +26,6 @@ from .sgengine import (
     InconsistentFactsError,
     LegendrianDesc,
     SGFact,
-    SGFactBase,
     derive_bounds,
     replay_trace,
     stabilized,
@@ -157,13 +156,13 @@ def _check_interval(bounds, desc: LegendrianDesc, lo: int, hi: int) -> Tuple[boo
 
 
 def _criterion_8() -> Check:
-    bounds = derive_bounds(load_fixture("thm13_facts").fact_base())
+    bounds = derive_bounds(load_fixture("thm13_facts").facts)
     for k in (1, 2, 3):
         ok, msg = _check_interval(bounds, LegendrianDesc(f"torus(2,{2 * k + 1})", 2 * k - 1, 0), 1, 1)
         if not ok:
             return False, msg
 
-    bounds = derive_bounds(load_fixture("thm14_facts").fact_base())
+    bounds = derive_bounds(load_fixture("thm14_facts").facts)
     for m in (1, 2, 3):
         for i in range(1, 4):
             for j in range(1, 4):
@@ -172,7 +171,7 @@ def _criterion_8() -> Check:
                 if not ok:
                     return False, msg
 
-    bounds = derive_bounds(load_fixture("thm15_facts").fact_base())
+    bounds = derive_bounds(load_fixture("thm15_facts").facts)
     for n in range(2, 7):
         for rot in (n, -n):
             ok, msg = _check_interval(bounds, LegendrianDesc("torus(2,3)", 1 - n, rot), 1, 1)
@@ -334,7 +333,7 @@ def random_fact_base(rng: random.Random) -> List[SGFact]:
 def _intervals(facts) -> Optional[dict]:
     """The derived (lo, hi) of each descriptor, or None when the facts clash."""
     try:
-        return {desc: (iv.lo, iv.hi) for desc, iv in derive_bounds(SGFactBase(facts)).items()}
+        return {desc: (iv.lo, iv.hi) for desc, iv in derive_bounds(facts).items()}
     except InconsistentFactsError:
         return None
 

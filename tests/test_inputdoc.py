@@ -1,7 +1,6 @@
 import json
 import random
 import re
-import time
 from collections import OrderedDict
 from importlib import resources
 from pathlib import Path
@@ -10,6 +9,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from timed import round_ratios
 
 from supportgenus import inputdoc
 from supportgenus.fixtures import FIXTURE_NAMES, build_fixture, load_fixture
@@ -383,23 +383,14 @@ def wide_page_text(rng: random.Random, bands: int, curve_count: int) -> str:
     return json.dumps({"surfaces": [page], "curves": curves})
 
 
-def _fastest(run, repeats: int = 3) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def test_parse_costs_a_small_multiple_of_json_decoding():
     # A ratio to json.loads of the same text does not move with the
     # machine's speed: 400 bands, about 28,000 crossings, 400 curves.
     text = wide_page_text(random.Random(400), 400, 400)
     doc = parse_text(text)
     assert doc.surfaces["page"].band_count == 400 and len(doc.curves) == 400
-    ratio = _fastest(lambda: parse_text(text)) / _fastest(lambda: json.loads(text))
-    assert ratio <= 6, f"parse_text took {ratio:.1f} times json.loads"
+    ratios = round_ratios(lambda: parse_text(text), lambda: json.loads(text), rounds=5)
+    assert min(ratios) <= 6, f"parse_text took {min(ratios):.1f} times json.loads at best: {ratios}"
 
 
 _json_values = st.recursive(

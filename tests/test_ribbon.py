@@ -202,6 +202,10 @@ def test_constructor_messages_are_exact():
         (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(0, 2): 1}), "crossing entry names band pair (0, 2) outside 0..1"),
         (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(-1, 1): 1}), "crossing entry names band pair (-1, 1) outside 0..1"),
         (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(0, 1): 1.0}), "crossing count for (0, 1) must be int"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(0.0, 1): 1}), "crossing entry (0.0, 1) is not a pair of int band indices"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(0, 1, 2): 1}), "crossing entry (0, 1, 2) is not a pair of int band indices"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(True, 1): 1}), "crossing entry (True, 1) is not a pair of int band indices"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings=[(1, 1)]), "crossing entry 1 is not a pair of int band indices"),
         (lambda: RibbonSurface(3, [0, 1, 0, 1, 2, 2], crossings={(0, 1): 1, (1, 2): 1}), disjoint_odd),
         (lambda: RibbonSurface(3, [0, 1, 0, 1, 2, 2], crossings={(0, 2): 2}), meeting_even.format(0, 1, 0)),
         # one odd pair, as many as interleave, but not the interleaved one
@@ -220,16 +224,22 @@ def test_constructor_messages_are_exact():
 
 
 def test_crossings_in_any_form_reach_one_canonical_form():
+    class Count(int):
+        pass
+
     expected = (((0, 1), 1), ((1, 1), 2))
     for crossings in (
         {(0, 1): 1, (1, 1): 2},
         {(1, 0): 1, (1, 1): 2, (0, 0): 0},
         [((1, 0), 3), ((0, 1), -2), ((1, 1), 2)],
         {(0, 1): True, (1, 1): 2},
+        {(Count(1), Count(0)): 1, (1, 1): 2},
+        [([0, 1], 1), ((1, 1), 2)],
     ):
         surface = RibbonSurface(2, [0, 1, 0, 1], crossings=crossings)
         assert surface.crossings == expected
         assert [type(count) for _, count in surface.crossings] == [int, int]
+        assert {type(band) for pair, _ in surface.crossings for band in pair} == {int}
     torus = RibbonSurface(2, [0, 1, 0, 1], crossings=expected)
     with pytest.raises(CurveMismatchError, match=r"^curve coefficient 0 is 1\.0, not an int$"):
         CurveClass(torus, [1.0, True])

@@ -1,13 +1,13 @@
 import dataclasses
-import gc
 import random
 import time
 
 import pytest
+from timed import round_ratios
 
 from supportgenus import verify
 from supportgenus.fixtures import load_fixture
-from supportgenus.hfbook import FormalHFModule, SpincSlot, hf_hat
+from supportgenus.hfbook import FormalHFModule, SpincSlot, SurgeryRangeError, hf_hat, trefoil_rotation_list
 from supportgenus.sgengine import (
     CLASSIFICATION_AXIOM,
     NONPLANAR_SURGERY,
@@ -19,7 +19,6 @@ from supportgenus.sgengine import (
     InconsistentFactsError,
     LegendrianDesc,
     SGFact,
-    SGFactBase,
     SGInterval,
     TraceStep,
     derive_bounds,
@@ -42,6 +41,10 @@ def test_counts_signs_and_genera_must_be_ints():
             stabilized(L, bad)
         with pytest.raises(FactError, match="needs a genus >= 0"):
             SGFact(kind=PAGE_WITNESS, subject=L, genus=bad)
+        with pytest.raises(FactError, match="^stabilization-of needs a parent and a sign of \\+1 or -1$"):
+            SGFact(kind=STABILIZATION_OF, subject=stabilized(L, 1), parent=L, sign=bad)
+        with pytest.raises(SurgeryRangeError, match=f"^rotation list is recorded for n >= 1, got {bad!r}$"):
+            trefoil_rotation_list(bad)
 
     class Count(int):
         pass
@@ -49,6 +52,8 @@ def test_counts_signs_and_genera_must_be_ints():
     assert hf_hat(FormalHFModule((SpincSlot(Count(1), Count(1)),))) == (3,)
     assert stabilized(L, Count(1)) == LegendrianDesc("torus(2,3)", 0, 1)
     assert SGFact(kind=PAGE_WITNESS, subject=L, genus=Count(1)).genus == 1
+    assert SGFact(kind=STABILIZATION_OF, subject=stabilized(L, 1), parent=L, sign=Count(1)).sign == 1
+    assert trefoil_rotation_list(Count(1)) == (-2, 0, 2)
 
 
 def test_descriptor_identity_ignores_tags():
@@ -86,25 +91,33 @@ def test_fact_validation():
     SGFact(kind=CLASSIFICATION_AXIOM, subject=L, note="treated as unique")
 
 
-def test_fact_base_collects_descriptors():
-    base = SGFactBase()
-    child = base.add(SGFact(kind=STABILIZATION_OF, subject=stabilized(L, 1), parent=L, sign=1)).subject
-    assert child == stabilized(L, 1)
-    assert len(base) == 1
-    assert set(base.descriptors()) == {L, child}
+def test_derive_bounds_takes_any_iterable_of_facts_keyed_by_the_first_seen():
+    tagged = LegendrianDesc("torus(2,3)", 1, 0, tags=("tagged",))
+    child = stabilized(L, 1)
+    facts = [
+        SGFact(kind=STABILIZATION_OF, subject=child, parent=tagged, sign=1),
+        SGFact(kind=PAGE_WITNESS, subject=L, genus=1),
+        SGFact(kind=ORIENTATION_MIRROR, subject=stabilized(L, -1), other=child),
+    ]
+    results = [list(derive_bounds(given).items()) for given in (facts, tuple(facts), (f for f in facts))]
+    assert results[0] == results[1] == results[2]
+    for result in results:
+        keys = [key for key, _ in result]
+        assert keys == [child, L, stabilized(L, -1)]
+        assert all(key is desc for key, desc in zip(keys, (child, tagged, facts[2].subject)))
+    for bad in (None, "page-witness", {"kind": PAGE_WITNESS}):
+        with pytest.raises(FactError, match=f"expected SGFact, got {type(bad).__name__}$"):
+            derive_bounds(facts[:1] + [bad])
 
 
 def test_page_witness_and_positive_tb_pin_an_interval():
-    base = SGFactBase(
-        [
-            SGFact(kind=PAGE_WITNESS, subject=L, genus=1),
-            SGFact(kind=POSITIVE_TB, subject=L),
-        ]
-    )
+    base = [
+        SGFact(kind=PAGE_WITNESS, subject=L, genus=1),
+        SGFact(kind=POSITIVE_TB, subject=L),
+    ]
     bounds = derive_bounds(base)
     interval = bounds[L]
     assert (interval.lo, interval.hi) == (1, 1)
-    assert interval.is_pinned()
     assert str(interval) == "[1, 1]"
     assert replay_trace(interval.trace) == (1, 1)
     rules = {step.rule for step in interval.trace}
@@ -112,10 +125,11 @@ def test_page_witness_and_positive_tb_pin_an_interval():
 
 
 def test_upper_bounds_flow_down_stabilizations():
-    base = SGFactBase([SGFact(kind=PAGE_WITNESS, subject=L, genus=2)])
+    base = [SGFact(kind=PAGE_WITNESS, subject=L, genus=2)]
     node = L
     for _ in range(4):
-        node = base.add(SGFact(kind=STABILIZATION_OF, subject=stabilized(node, -1), parent=node, sign=-1)).subject
+        base.append(SGFact(kind=STABILIZATION_OF, subject=stabilized(node, -1), parent=node, sign=-1))
+        node = base[-1].subject
     bounds = derive_bounds(base)
     assert bounds[node].hi == 2
     assert bounds[node].lo == 0
@@ -123,11 +137,12 @@ def test_upper_bounds_flow_down_stabilizations():
 
 
 def test_lower_bounds_flow_up_stabilizations():
-    base = SGFactBase()
+    base = []
     node = L
     for _ in range(3):
-        node = base.add(SGFact(kind=STABILIZATION_OF, subject=stabilized(node, 1), parent=node, sign=1)).subject
-    base.add(SGFact(kind=NONPLANAR_SURGERY, subject=node))
+        base.append(SGFact(kind=STABILIZATION_OF, subject=stabilized(node, 1), parent=node, sign=1))
+        node = base[-1].subject
+    base.append(SGFact(kind=NONPLANAR_SURGERY, subject=node))
     bounds = derive_bounds(base)
     assert bounds[L].lo == 1
     assert bounds[L].hi is None
@@ -137,24 +152,20 @@ def test_lower_bounds_flow_up_stabilizations():
 def test_mirrors_share_bounds():
     a = stabilized(stabilized(L, 1), 1)
     b = stabilized(stabilized(L, -1), -1)
-    base = SGFactBase(
-        [
-            SGFact(kind=PAGE_WITNESS, subject=a, genus=1),
-            SGFact(kind=NONPLANAR_SURGERY, subject=a),
-            SGFact(kind=ORIENTATION_MIRROR, subject=a, other=b),
-        ]
-    )
+    base = [
+        SGFact(kind=PAGE_WITNESS, subject=a, genus=1),
+        SGFact(kind=NONPLANAR_SURGERY, subject=a),
+        SGFact(kind=ORIENTATION_MIRROR, subject=a, other=b),
+    ]
     bounds = derive_bounds(base)
     assert (bounds[b].lo, bounds[b].hi) == (1, 1)
 
 
 def test_inconsistent_facts_name_their_steps():
-    base = SGFactBase(
-        [
-            SGFact(kind=POSITIVE_TB, subject=L),
-            SGFact(kind=PAGE_WITNESS, subject=L, genus=0),
-        ]
-    )
+    base = [
+        SGFact(kind=POSITIVE_TB, subject=L),
+        SGFact(kind=PAGE_WITNESS, subject=L, genus=0),
+    ]
     with pytest.raises(InconsistentFactsError) as info:
         derive_bounds(base)
     err = info.value
@@ -164,13 +175,13 @@ def test_inconsistent_facts_name_their_steps():
 
 
 def test_traces_print_as_rule_applications():
-    base = SGFactBase([SGFact(kind=PAGE_WITNESS, subject=L, genus=1)])
+    base = [SGFact(kind=PAGE_WITNESS, subject=L, genus=1)]
     step = derive_bounds(base)[L].trace[0]
     assert str(step) == "R1: hi <= 1  [page-witness(genus 1) on torus(2,3)(tb=1, rot=0)]"
 
 
 def test_classification_axiom_carries_no_bound():
-    base = SGFactBase([SGFact(kind=CLASSIFICATION_AXIOM, subject=L, note="unique at maximal tb")])
+    base = [SGFact(kind=CLASSIFICATION_AXIOM, subject=L, note="unique at maximal tb")]
     interval = derive_bounds(base)[L]
     assert (interval.lo, interval.hi) == (0, None)
     assert interval.trace == ()
@@ -178,16 +189,17 @@ def test_classification_axiom_carries_no_bound():
 
 def test_derivation_is_order_independent():
     rng = random.Random(41)
-    base = SGFactBase([SGFact(kind=PAGE_WITNESS, subject=L, genus=1), SGFact(kind=POSITIVE_TB, subject=L)])
+    base = [SGFact(kind=PAGE_WITNESS, subject=L, genus=1), SGFact(kind=POSITIVE_TB, subject=L)]
     node = L
     for sign in (1, 1, -1, 1, -1):
-        node = base.add(SGFact(kind=STABILIZATION_OF, subject=stabilized(node, sign), parent=node, sign=sign)).subject
-    base.add(SGFact(kind=NONPLANAR_SURGERY, subject=node))
+        base.append(SGFact(kind=STABILIZATION_OF, subject=stabilized(node, sign), parent=node, sign=sign))
+        node = base[-1].subject
+    base.append(SGFact(kind=NONPLANAR_SURGERY, subject=node))
     reference = {d: (iv.lo, iv.hi) for d, iv in derive_bounds(base).items()}
     for _ in range(20):
-        shuffled = list(base.facts)
+        shuffled = list(base)
         rng.shuffle(shuffled)
-        again = {d: (iv.lo, iv.hi) for d, iv in derive_bounds(SGFactBase(shuffled)).items()}
+        again = {d: (iv.lo, iv.hi) for d, iv in derive_bounds(shuffled).items()}
         assert again == reference
 
 
@@ -213,18 +225,27 @@ def test_trefoil_mountain_check():
 
 
 def test_mountain_matches_the_rotation_lists():
-    from supportgenus.hfbook import trefoil_rotation_list
-
     for n in range(1, 13):
         allowed = set(trefoil_rotation_list(n))
         for rot in range(-n - 3, n + 4):
             assert trefoil_mountain_check(-n, rot) == (rot in allowed)
 
 
-def full_resweep(base):
+def first_seen(facts):
+    """The distinct descriptors, each as the first object seen over subject,
+    parent and other, in fact order."""
+    seen = {}
+    for fact in facts:
+        for desc in (fact.subject, fact.parent, fact.other):
+            if desc is not None:
+                seen.setdefault(desc, desc)
+    return list(seen.values())
+
+
+def full_resweep(facts):
     """The engine before semi-naive evaluation, kept as an oracle: every
     fact runs again in every sweep until a sweep changes nothing."""
-    cells = {desc: {"lo": 0, "hi": None, "trace": []} for desc in base.descriptors()}
+    cells = {desc: {"lo": 0, "hi": None, "trace": []} for desc in first_seen(facts)}
 
     def clash(desc):
         trace = cells[desc]["trace"]
@@ -254,7 +275,7 @@ def full_resweep(base):
     changed = True
     while changed:
         changed = False
-        for fact in base.facts:
+        for fact in facts:
             if fact.kind == PAGE_WITNESS:
                 changed |= lower_hi(fact.subject, fact.genus, "R1", fact.describe())
             elif fact.kind == POSITIVE_TB:
@@ -285,7 +306,7 @@ def outcome(derive, facts):
     """Everything a derivation shows: intervals and traces in dict order,
     or the clash it reports, with the tags of each descriptor."""
     try:
-        return [(desc, desc.tags, iv.lo, iv.hi, iv.trace) for desc, iv in derive(SGFactBase(facts)).items()]
+        return [(desc, desc.tags, iv.lo, iv.hi, iv.trace) for desc, iv in derive(facts).items()]
     except InconsistentFactsError as err:
         return ("clash", err.subject, err.subject.tags, err.lo_step, err.hi_step, str(err))
 
@@ -332,7 +353,7 @@ def assert_same_as_full_resweep(facts):
 
 @pytest.mark.parametrize("name", ["thm13_facts", "thm14_facts", "thm15_facts"])
 def test_theorem_fixtures_derive_as_the_full_resweep(name):
-    facts = load_fixture(name).fact_base().facts
+    facts = load_fixture(name).facts
     rng = random.Random(name)
     assert_same_as_full_resweep(facts)
     for _ in range(30):
@@ -387,17 +408,13 @@ def test_retagged_copies_derive_as_the_full_resweep_keyed_by_the_first_seen():
         facts = retagged(rng, facts)
         rng.shuffle(facts)
         assert_same_as_full_resweep(facts)
-        first_seen = {}
-        for fact in facts:
-            for desc in (fact.subject, fact.parent, fact.other):
-                if desc is not None:
-                    first_seen.setdefault(desc, desc)
+        seen = first_seen(facts)
         try:
-            keys = list(derive_bounds(SGFactBase(facts)))
+            keys = list(derive_bounds(facts))
         except InconsistentFactsError:
             continue  # a clash names the clashing fact's object, as the oracle does
-        assert len(keys) == len(first_seen)
-        assert all(key is seen for key, seen in zip(keys, first_seen))
+        assert len(keys) == len(seen)
+        assert all(key is desc for key, desc in zip(keys, seen))
 
 
 @pytest.mark.parametrize("shape, size", [("chain", 120), ("mirror", 50), ("grid", 9)])
@@ -420,7 +437,7 @@ def test_deep_chain_derives_in_linear_time():
         facts.append(SGFact(kind=STABILIZATION_OF, subject=node, parent=parent, sign=sign))
     facts.append(SGFact(kind=NONPLANAR_SURGERY, subject=node))
     start = time.perf_counter()
-    bounds = derive_bounds(SGFactBase(facts))
+    bounds = derive_bounds(facts)
     elapsed = time.perf_counter() - start
     assert (bounds[L].lo, bounds[L].hi) == (1, 2)
     assert (bounds[node].lo, bounds[node].hi) == (1, 2)
@@ -438,23 +455,15 @@ def shuffled_chain(depth, rng):
         facts.append(SGFact(kind=STABILIZATION_OF, subject=node, parent=parent, sign=sign))
     facts.append(SGFact(kind=NONPLANAR_SURGERY, subject=node))
     rng.shuffle(facts)
-    return SGFactBase(facts)
+    return facts
 
 
 def test_derive_time_grows_linearly_with_chain_depth():
     # four times the depth: about 4x the time when linear, 16x when
-    # quadratic.  The two depths run back to back, so the machine's speed,
-    # which drifts by up to 1.4x within seconds, cancels out of each
-    # round's ratio; the best of three rounds is kept.
+    # quadratic.  The two depths alternate within each round, so the
+    # machine's drifting speed cancels out of each round's ratio; the best
+    # of five rounds is kept.
     rng = random.Random(8000)
     short, deep = shuffled_chain(2000, rng), shuffled_chain(8000, rng)
-    ratios = []
-    for _ in range(3):
-        times = []
-        for base in (short, deep):
-            gc.collect()
-            start = time.perf_counter()
-            derive_bounds(base)
-            times.append(time.perf_counter() - start)
-        ratios.append(times[1] / times[0])
+    ratios = round_ratios(lambda: derive_bounds(deep), lambda: derive_bounds(short), rounds=5)
     assert min(ratios) <= 6, ratios
