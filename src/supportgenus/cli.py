@@ -132,8 +132,8 @@ def _sg_bounds_records(doc: InputDocument) -> List[Record]:
             "lo": interval.lo,
             "hi": interval.hi,
             "trace": [
-                {"rule": step.rule, "bound": step.bound, "value": step.value, "reason": step.reason}
-                for step in interval.trace
+                {"rule": rule, "bound": bound, "value": value, "reason": reason}
+                for rule, bound, value, reason in interval.trace
             ],
         }
         for desc, interval in derive_bounds(doc.facts).items()

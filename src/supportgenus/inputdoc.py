@@ -10,12 +10,21 @@ Each record type is one table of fields (``_SURFACE`` ... ``_FACT``),
 and :func:`parse_dict` and :func:`serialize` both walk it: fields are
 checked and written in table order, and one hook per record type checks
 across fields and builds the object once its unknown keys are rejected.
+Each table is compiled once, at import: into flat ``(key, get, dump,
+omit)`` tuples for :func:`serialize`, with no omit test on a field that
+is always written, and, for facts, into one field tuple per kind.
 
 A valid document builds no location string: each value is first tested
 in bulk or by exact type (``type(x) is int``, ``set(map(type, xs)) <=
 {int}``), and only a value that fails that test is walked again by the
 located checks, which raise with the first offender's location, or
-accept it when it is merely a subclass or a non-dict mapping.
+accept it when it is merely a subclass or a non-dict mapping.  A fact is
+read by kind first: a plain dict holding exactly its kind's keys, plus
+an optional note string, with exact-type values and untagged three-key
+descriptors, is built straight into an ``SGFact`` with no per-field
+walk; anything else, including a fact its hook rejects, takes the
+located walk from its start, so every message and the order in which
+faults are found stay the walk's.
 
 Annotated example::
 
@@ -252,13 +261,16 @@ class _Context:
         self.bands = self.handles = 0
 
 
+_OMIT_NONE = partial(is_, None)
+
+
 class _Field(NamedTuple):
     """One key of a record type.  ``take`` is the ``_Record`` method that
     type-checks it (an optional field reads null as absent and skips its
     load), ``load(value, rec, key, ctx)`` converts it into memory, ``get``
     reads it off the object (a function, or an attribute path that defaults
     to the key), ``dump`` converts it for the file, and ``omit(value)``
-    leaves it out.  A field with ``kinds`` belongs only to facts of those
+    leaves it out.  A field with ``kinds`` belongs only to records of those
     kinds."""
 
     key: str
@@ -267,20 +279,42 @@ class _Field(NamedTuple):
     load: Optional[Callable] = None
     get: object = None
     dump: Optional[Callable] = None
-    omit: Callable = partial(is_, None)
+    omit: Callable = _OMIT_NONE
     kinds: Tuple[str, ...] = ()
 
 
 class _Spec:
     """A record type: its fields in file order, and ``hook(rec, ctx,
     *values)``, which checks across fields and builds the object; a
-    ToolkitError or ValueError it raises is located at the record."""
+    ToolkitError or ValueError it raises is located at the record.  A
+    record type with ``kinds`` reads the kind from its first field, has
+    one optional field, its last, and is compiled once per kind into the
+    fields that kind carries."""
 
-    def __init__(self, *fields: _Field, hook: Callable):
+    def __init__(self, *fields: _Field, hook: Callable, kinds: Tuple[str, ...] = ()):
         self.fields = tuple(f if callable(f.get) else f._replace(get=attrgetter(f.get or f.key)) for f in fields)
         self.hook = hook
-        # what parsing reads of each field, unpacked once per field
+        # what the walk reads of each field, unpacked once per field
         self.takes = tuple((f.key, f.take, f.required, f.load, f.kinds) for f in self.fields)
+        self.writes = _writes(self.fields)
+        # the kind's key and the optional one, and kind -> (the number of
+        # keys without the optional one, (position, key, load or take) of
+        # each required field after the kind, writes)
+        self.kind_keys = (self.fields[0].key, self.fields[-1].key)
+        self.kind_of = self.fields[0].get
+        self.kinds = {kind: self._compile(kind) for kind in kinds}
+
+    def _compile(self, kind: str) -> Tuple[int, tuple, tuple]:
+        fields = [(i, f) for i, f in enumerate(self.fields) if not f.kinds or kind in f.kinds]
+        reads = tuple((i, f.key, f.load or f.take) for i, f in fields[1:] if f.required)
+        return len(reads) + 1, reads, _writes([f for _, f in fields])
+
+
+def _writes(fields) -> tuple:
+    """What serialize writes of each field, as (key, get, dump, omit); omit
+    is None on a required field that only a None would leave out, which is
+    therefore always written."""
+    return tuple((f.key, f.get, f.dump, None if f.required and f.omit is _OMIT_NONE else f.omit) for f in fields)
 
 
 def _parse(spec: _Spec, rec: _Record, ctx: _Context):
@@ -308,9 +342,9 @@ def _parse_all(spec: _Spec, entries: list, rec: _Record, key: str, ctx: _Context
 
 def _dump(spec: _Spec, obj) -> dict:
     out = {}
-    for key, _take, _required, _load, get, dump, omit, _kinds in spec.fields:
+    for key, get, dump, omit in spec.kinds[spec.kind_of(obj)][2] if spec.kinds else spec.writes:
         value = get(obj)
-        if not omit(value):
+        if omit is None or not omit(value):
             out[key] = value if dump is None else dump(value)
     return out
 
@@ -423,15 +457,59 @@ def _descriptor(raw, rec: _Record, key: str, ctx: _Context) -> LegendrianDesc:
     """An untagged descriptor on the quick path is looked up in
     ``ctx.shared`` first, so equal ones are one object; any other is
     walked through ``_DESCRIPTOR``."""
+    desc = _shared_descriptor(raw, ctx.shared)
+    return _parse(_DESCRIPTOR, _Record(raw, rec.at(key)), ctx) if desc is None else desc
+
+
+def _shared_descriptor(raw, shared: Dict[Tuple[str, int, int], LegendrianDesc]) -> Optional[LegendrianDesc]:
+    """The one object for ``raw`` if it is a plain untagged descriptor
+    with exact-type values, else None."""
     if type(raw) is dict and len(raw) == 3:
         type_key, tb_key, rot_key = _DESCRIPTOR_KEYS
         topo_type, tb, rot = raw.get(type_key), raw.get(tb_key), raw.get(rot_key)
         if type(topo_type) is str and type(tb) is int and type(rot) is int:
-            desc = ctx.shared.get((topo_type, tb, rot))
+            key = (topo_type, tb, rot)
+            desc = shared.get(key)
             if desc is None:
-                desc = ctx.shared[topo_type, tb, rot] = LegendrianDesc(topo_type=topo_type, tb=tb, rot=rot)
+                desc = shared[key] = LegendrianDesc(topo_type, tb, rot)
             return desc
-    return _parse(_DESCRIPTOR, _Record(raw, rec.at(key)), ctx)
+    return None
+
+
+def _quick_kind(spec: _Spec, raw, ctx: _Context):
+    """The record in ``raw`` (a fact), read without building a location,
+    if ``raw`` is a plain dict holding exactly its kind's keys plus at most
+    its last, optional one (the note) as a string, with exact-type values
+    and plain untagged descriptors, and the hook accepts it; else None,
+    and the walk reads it."""
+    if type(raw) is not dict:
+        return None
+    kind_key, optional = spec.kind_keys
+    kind = raw.get(kind_key)
+    compiled = spec.kinds.get(kind) if type(kind) is str else None
+    if compiled is None:
+        return None
+    size, reads, _ = compiled
+    values: list = [None] * len(spec.fields)
+    values[0] = kind
+    if len(raw) != size:
+        note = values[-1] = raw.get(optional)
+        if len(raw) != size + 1 or type(note) is not str:
+            return None
+    shared = ctx.shared
+    for position, key, read in reads:
+        value = raw.get(key)
+        if read is _descriptor:
+            value = _shared_descriptor(value, shared)
+            if value is None:
+                return None
+        elif type(value) is not int or (read is _Record.sign and value != 1 and value != -1):
+            return None
+        values[position] = value
+    try:
+        return spec.hook(None, ctx, *values)
+    except (ToolkitError, ValueError):
+        return None
 
 
 def _fact_kind(kind: str, rec: _Record, key: str, ctx: _Context) -> str:
@@ -570,6 +648,7 @@ _FACT = _Spec(
     hook=lambda rec, ctx, kind, subject, genus, parent, sign, other, note: SGFact(
         kind, subject, genus, parent, sign, other, note or ""
     ),
+    kinds=FACT_KINDS,
 )
 
 # The keys the quick paths read straight off a plain dict.
@@ -601,6 +680,10 @@ def parse_dict(data: Mapping) -> InputDocument:
     for key, spec, named in _SECTIONS:
         records: dict = {}
         for i, entry in enumerate(_section(top, key)):
+            obj = _quick_kind(spec, entry, ctx) if spec.kinds else None
+            if obj is not None:
+                records[i] = obj
+                continue
             rec = _Record(entry, f"{key}[{i}]")
             name = rec.str(_NAME.key) if named else i
             if name in records:
@@ -670,34 +753,61 @@ def json_text(value) -> str:
     return "".join(out)
 
 
+# How each exact scalar type is written.  A dict or list writes its items
+# of these types in its own loop, as pieces of the output rather than
+# one concatenated string.
+_SCALARS: Dict[type, Callable[..., str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _write_json(value, newline: str, out: List[str]) -> None:
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            if type(key) is not str and not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write = _SCALARS.get(type(item))
+            if write is None:
+                out += (separator, encode_basestring_ascii(key), ": ")
+                _write_json(item, inner, out)
+            else:
+                out += (separator, encode_basestring_ascii(key), ": ", write(item))
+            separator = comma
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            write = _SCALARS.get(type(item))
+            if write is None:
+                out.append(separator)
+                _write_json(item, inner, out)
+            else:
+                out += (separator, write(item))
+            separator = comma
+        out.append(newline + "]")
+    elif kind in _SCALARS:
+        out.append(_SCALARS[kind](value))
+    # subclasses: written as their base type
+    elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, dict):
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "}" if value else "{}")
+        _write_json(dict(value.items()), newline, out)
     elif isinstance(value, (list, tuple)):
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _write_json(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "]" if value else "[]")
+        _write_json(list(value), newline, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

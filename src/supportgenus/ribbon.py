@@ -97,8 +97,16 @@ def _canonical_crossings(band_count: int, crossings) -> Tuple[Tuple[Tuple[int, i
     if _is_canonical(band_count, crossings):
         return tuple(sorted(filter(operator.itemgetter(1), crossings.items())))
     out: Dict[Tuple[int, int], int] = {}
-    items = crossings.items() if isinstance(crossings, Mapping) else crossings
-    for key, count in items:
+    try:
+        items = iter(crossings.items() if isinstance(crossings, Mapping) else crossings)
+    except TypeError:
+        raise MalformedSurfaceError(
+            f"crossings must be a mapping or a list of (band pair, count) items, got {type(crossings).__name__}"
+        ) from None
+    for item in items:
+        if not (isinstance(item, (tuple, list)) and len(item) == 2):
+            raise MalformedSurfaceError(f"crossing item {item!r} is not a (band pair, count) pair")
+        key, count = item
         if not (isinstance(key, (tuple, list)) and len(key) == 2 and _is_integer(key[0]) and _is_integer(key[1])):
             raise MalformedSurfaceError(f"crossing entry {key!r} is not a pair of int band indices")
         i, j = int(key[0]), int(key[1])

@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import ToolkitError
+
+_set = object.__setattr__
 
 
 class FactError(ToolkitError):
@@ -54,7 +56,14 @@ class InconsistentFactsError(ToolkitError):
         )
 
 
-@dataclass(frozen=True)
+# The frozen dataclasses that a parse and a derivation build by the
+# hundred set their fields through one module-level object.__setattr__;
+# the generated __init__ looks the builtin up again for every field, and
+# SGFact's would call __post_init__ as well.  Equality, hashing, repr and
+# dataclasses.replace stay generated.
+
+
+@dataclass(frozen=True, init=False)
 class LegendrianDesc:
     """A Legendrian knot named by its classical data.
 
@@ -65,6 +74,12 @@ class LegendrianDesc:
     tb: int
     rot: int
     tags: Tuple[str, ...] = field(default=(), compare=False)
+
+    def __init__(self, topo_type: str, tb: int, rot: int, tags: Tuple[str, ...] = ()):
+        _set(self, "topo_type", topo_type)
+        _set(self, "tb", tb)
+        _set(self, "rot", rot)
+        _set(self, "tags", tags)
 
     def label(self) -> str:
         return f"{self.topo_type}(tb={self.tb}, rot={self.rot})"
@@ -87,7 +102,7 @@ FACT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SGFact:
     """One piece of evidence about a descriptor.
 
@@ -114,38 +129,49 @@ class SGFact:
     other: Optional[LegendrianDesc] = None
     note: str = ""
 
-    def __post_init__(self):
-        if self.kind not in FACT_KINDS:
-            raise FactError(f"unknown fact kind {self.kind!r}")
-        if self.kind == PAGE_WITNESS:
-            genus = self.genus
-            if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-                raise FactError(f"page-witness on {self.subject.label()} needs a genus >= 0")
-        elif self.kind == POSITIVE_TB:
-            if self.subject.tb <= 0:
-                raise FactError(
-                    f"positive-tb asserted on {self.subject.label()}, whose tb is not positive"
-                )
-        elif self.kind == STABILIZATION_OF:
-            sign = self.sign
+    def __init__(
+        self,
+        kind: str,
+        subject: LegendrianDesc,
+        genus: Optional[int] = None,
+        parent: Optional[LegendrianDesc] = None,
+        sign: Optional[int] = None,
+        other: Optional[LegendrianDesc] = None,
+        note: str = "",
+    ):
+        _set(self, "kind", kind)
+        _set(self, "subject", subject)
+        _set(self, "genus", genus)
+        _set(self, "parent", parent)
+        _set(self, "sign", sign)
+        _set(self, "other", other)
+        _set(self, "note", note)
+        if kind not in FACT_KINDS:
+            raise FactError(f"unknown fact kind {kind!r}")
+        if kind == STABILIZATION_OF:
+            checked = sign
             if not isinstance(sign, int) or isinstance(sign, bool):
-                sign = None  # 1.0 and True equal 1, but serialize as 1.0 and true
-            if self.parent is None or sign not in (1, -1):
+                checked = None  # 1.0 and True equal 1, but serialize as 1.0 and true
+            if parent is None or checked not in (1, -1):
                 raise FactError("stabilization-of needs a parent and a sign of +1 or -1")
-            subject, parent = self.subject, self.parent
-            expected = (parent.topo_type, parent.tb - 1, parent.rot + self.sign)
-            if (subject.topo_type, subject.tb, subject.rot) != expected:
+            if subject.tb != parent.tb - 1 or subject.rot != parent.rot + sign or subject.topo_type != parent.topo_type:
                 raise FactError(
-                    f"stabilization-of: {self.subject.label()} is not the sign {self.sign:+d} "
-                    f"stabilization of {self.parent.label()}"
+                    f"stabilization-of: {subject.label()} is not the sign {sign:+d} "
+                    f"stabilization of {parent.label()}"
                 )
-        elif self.kind == ORIENTATION_MIRROR:
-            if self.other is None:
+        elif kind == PAGE_WITNESS:
+            if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
+                raise FactError(f"page-witness on {subject.label()} needs a genus >= 0")
+        elif kind == POSITIVE_TB:
+            if subject.tb <= 0:
+                raise FactError(f"positive-tb asserted on {subject.label()}, whose tb is not positive")
+        elif kind == ORIENTATION_MIRROR:
+            if other is None:
                 raise FactError("orientation-mirror needs the other descriptor")
-            if self.subject.tb != self.other.tb or self.subject.rot != -self.other.rot:
+            if subject.tb != other.tb or subject.rot != -other.rot:
                 raise FactError(
                     f"orientation-mirror: reversing orientation keeps tb and negates rot, but "
-                    f"{self.subject.label()} and {self.other.label()} do not match that way"
+                    f"{subject.label()} and {other.label()} do not match that way"
                 )
 
     def describe(self) -> str:
@@ -170,8 +196,7 @@ def stabilized(desc: LegendrianDesc, sign: int) -> LegendrianDesc:
     return LegendrianDesc(desc.topo_type, desc.tb - 1, desc.rot + sign, desc.tags)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One bound improvement: which rule, which side, what value, why."""
 
     rule: str
@@ -184,13 +209,18 @@ class TraceStep:
         return f"{self.rule}: {self.bound} {op} {self.value}  [{self.reason}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SGInterval:
     """The derived interval [lo, hi]; hi is None when unbounded above."""
 
     lo: int
     hi: Optional[int]
     trace: Tuple[TraceStep, ...] = ()
+
+    def __init__(self, lo: int, hi: Optional[int], trace: Tuple[TraceStep, ...] = ()):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "trace", trace)
 
     def __str__(self):
         upper = "unbounded" if self.hi is None else str(self.hi)
@@ -212,27 +242,30 @@ def replay_trace(trace: Iterable[TraceStep]) -> Tuple[int, Optional[int]]:
     return lo, hi
 
 
-# The rules as data.  Given a fact, its description and the ids of its
-# subject, parent and other descriptor, each kind compiles to moves
-# (bound, target, source, constant, rule, reason, named), in the order a
-# sweep applies them; a move tightens one bound of its target to the
-# constant, or to the same bound of its source, and a clash it causes
-# names the fact's own descriptor object at the target.  Classification
-# axioms carry no bound; they justify identifications the fixtures make.
+# The rules as data.  Given the position f of a fact, the fact and the
+# numbers of its subject, parent and other descriptor, each kind compiles
+# to moves (bound, target, source, constant, f, why), in the order a sweep
+# applies them; a move tightens one bound of its target to the constant,
+# or to the same bound of its source.  ``why`` holds the rule, the suffix
+# of the fact's description that the step's reason ends in, and the
+# field naming the descriptor a clash at the target reports.
+# Classification axioms carry no bound; they justify identifications the
+# fixtures make.
 _RULES: Dict[str, Callable[..., Tuple[tuple, ...]]] = {
-    PAGE_WITNESS: lambda f, why, s, p, o: (("hi", s, None, f.genus, "R1", why, f.subject),),
-    POSITIVE_TB: lambda f, why, s, p, o: (("lo", s, None, 1, "R3", why, f.subject),),
-    NONPLANAR_SURGERY: lambda f, why, s, p, o: (("lo", s, None, 1, "R5", why, f.subject),),
-    STABILIZATION_OF: lambda f, why, s, p, o: (
-        ("hi", s, p, None, "R2", why + ", upper bound inherited", f.subject),
-        ("lo", p, s, None, "R2", why + ", lower bound inherited", f.parent),
+    PAGE_WITNESS: lambda f, fact, s, p, o: (("hi", s, None, fact.genus, f, ("R1", "", "subject")),),
+    POSITIVE_TB: lambda f, fact, s, p, o: (("lo", s, None, 1, f, ("R3", "", "subject")),),
+    NONPLANAR_SURGERY: lambda f, fact, s, p, o: (("lo", s, None, 1, f, ("R5", "", "subject")),),
+    STABILIZATION_OF: lambda f, fact, s, p, o: (
+        ("hi", s, p, None, f, ("R2", ", upper bound inherited", "subject")),
+        ("lo", p, s, None, f, ("R2", ", lower bound inherited", "parent")),
     ),
-    ORIENTATION_MIRROR: lambda f, why, s, p, o: tuple(
-        (bound, one, two, None, "R6", why, named)
-        for one, two, named in ((s, o, f.subject), (o, s, f.other))
-        for bound in ("lo", "hi")
+    ORIENTATION_MIRROR: lambda f, fact, s, p, o: (
+        ("lo", s, o, None, f, ("R6", "", "subject")),
+        ("hi", s, o, None, f, ("R6", "", "subject")),
+        ("lo", o, s, None, f, ("R6", "", "other")),
+        ("hi", o, s, None, f, ("R6", "", "other")),
     ),
-    CLASSIFICATION_AXIOM: lambda f, why, s, p, o: (),
+    CLASSIFICATION_AXIOM: lambda f, fact, s, p, o: (),
 }
 
 
@@ -251,7 +284,9 @@ def derive_bounds(facts: Iterable[SGFact]) -> Dict[LegendrianDesc, SGInterval]:
     descriptor by its (topo_type, tb, rot) when first seen, over subject,
     parent and other in fact order; that first object keeps its place as
     the result key, and from then on the moves and cells work on the
-    numbers.  Sweeps run the moves in fact order, but only the dirty
+    numbers.  A descriptor object seen before is numbered by its identity
+    alone, since a parse shares one object per untagged descriptor.
+    Sweeps run the moves in fact order, but only the dirty
     ones: a move is dirty when the bound it reads has changed since it last
     ran, and a move with a constant is dirty in the first sweep.  A change
     made by move m makes each reader m' > m dirty in this sweep and each
@@ -260,22 +295,30 @@ def derive_bounds(facts: Iterable[SGFact]) -> Dict[LegendrianDesc, SGInterval]:
     which tightens nothing) and its target only tighter, so the steps,
     traces and clash are those of re-running every fact until a sweep
     changes nothing.
+
+    A step's reason is built when its move fires: each fact is described
+    at most once, on the first firing of one of its moves, so a fact whose
+    moves never tighten anything is never described.
     """
+    facts = tuple(facts)
+    seen: Dict[int, int] = {}  # id(descriptor) -> its number
     number: Dict[Tuple[str, int, int], int] = {}
     descs: List[LegendrianDesc] = []
     moves: List[tuple] = []
-    for fact in facts:
+    for f, fact in enumerate(facts):
         if not isinstance(fact, SGFact):
             raise FactError(f"expected SGFact, got {type(fact).__name__}")
         ids = []
         for desc in (fact.subject, fact.parent, fact.other):
             i = None
             if desc is not None:
-                i = number.setdefault((desc.topo_type, desc.tb, desc.rot), len(descs))
-                if i == len(descs):
-                    descs.append(desc)
+                i = seen.get(id(desc))
+                if i is None:
+                    i = seen[id(desc)] = number.setdefault((desc.topo_type, desc.tb, desc.rot), len(descs))
+                    if i == len(descs):
+                        descs.append(desc)
             ids.append(i)
-        moves += _RULES[fact.kind](fact, fact.describe(), *ids)
+        moves += _RULES[fact.kind](f, fact, *ids)
 
     lo = [0] * len(descs)
     hi: List[Optional[int]] = [None] * len(descs)
@@ -283,20 +326,27 @@ def derive_bounds(facts: Iterable[SGFact]) -> Dict[LegendrianDesc, SGInterval]:
     cells = {"lo": lo, "hi": hi}
     # readers[bound][d]: the moves reading that bound of descriptor d
     readers = {bound: [[] for _ in descs] for bound in cells}
-    for m, (bound, _, source, *_) in enumerate(moves):
-        if source is not None:
-            readers[bound][source].append(m)
-
     # A move reading a bound still at its start value changes nothing, so
     # at first only the moves with a constant are dirty.
+    queue: List[int] = []  # sweep * count + move, a heap
+    queued: List[bool] = []
+    for m, move in enumerate(moves):
+        source = move[2]
+        if source is None:
+            queue.append(m)
+        else:
+            readers[move[0]][source].append(m)
+        queued.append(source is None)
+    # each fact's description, built on the first firing of one of its moves
+    descriptions: List[Optional[str]] = [None] * len(facts)
+
     count = len(moves)
-    queue = [m for m, move in enumerate(moves) if move[2] is None]  # sweep * count + move, a heap
-    queued = [move[2] is None for move in moves]
+    heappop, heappush, step = heapq.heappop, heapq.heappush, TraceStep._make
     while queue:
-        key = heapq.heappop(queue)
+        key = heappop(queue)
         m = key % count
         queued[m] = False
-        bound, target, source, value, rule, reason, named = moves[m]
+        bound, target, source, value, f, why = moves[m]
         cell = cells[bound]
         if source is not None:
             value = cell[source]
@@ -306,21 +356,22 @@ def derive_bounds(facts: Iterable[SGFact]) -> Dict[LegendrianDesc, SGInterval]:
         if old is not None and (value <= old if bound == "lo" else value >= old):
             continue
         cell[target] = value
+        rule, suffix, named = why
+        description = descriptions[f]
+        if description is None:
+            description = descriptions[f] = facts[f].describe()
         trace = traces[target]
-        trace.append(TraceStep(rule=rule, bound=bound, value=value, reason=reason))
+        trace.append(step((rule, bound, value, description + suffix)))
         if hi[target] is not None and lo[target] > hi[target]:
-            last = {step.bound: step for step in trace}
-            raise InconsistentFactsError(named, last["lo"], last["hi"])
+            last = {s.bound: s for s in trace}
+            raise InconsistentFactsError(getattr(facts[f], named), last["lo"], last["hi"])
         sweep = key - m
         for reader in readers[bound][target]:
             if not queued[reader]:
                 queued[reader] = True
-                heapq.heappush(queue, sweep + (count if reader <= m else 0) + reader)
+                heappush(queue, sweep + (count if reader <= m else 0) + reader)
 
-    return {
-        desc: SGInterval(lo=lo[i], hi=hi[i], trace=tuple(traces[i]))
-        for i, desc in enumerate(descs)
-    }
+    return {desc: SGInterval(lo[i], hi[i], tuple(traces[i])) for i, desc in enumerate(descs)}
 
 
 def trefoil_mountain_check(tb: int, rot: int) -> bool:

@@ -13,7 +13,7 @@ from test_sgengine import shape_facts
 
 from supportgenus.cli import main
 from supportgenus.fixtures import FIXTURE_NAMES
-from supportgenus.inputdoc import InputDocument, serialize
+from supportgenus.inputdoc import InputDocument, parse_text, serialize
 
 AMBIGUOUS = json.dumps(
     {
@@ -272,3 +272,112 @@ def test_machine_reports_leave_no_reference_cycles():
         gc.set_debug(0)
         gc.garbage.clear()
     assert left == []
+
+
+def _fact_fault_base(rng):
+    """One valid fact of every kind, as JSON dicts, with fresh descriptor
+    dicts so that a fault touches one fact only."""
+
+    def desc(tb, rot):
+        return {"type": "k", "tb": tb, "rot": rot}
+
+    tb, rot = rng.randint(1, 4), rng.randint(-2, 2)
+    sign = rng.choice((1, -1))
+    return [
+        {"kind": "page-witness", "subject": desc(tb, rot), "genus": rng.randint(1, 3)},
+        {"kind": "positive-tb", "subject": desc(tb, rot)},
+        {"kind": "nonplanar-surgery", "subject": desc(tb - 2, rot)},
+        {"kind": "stabilization-of", "subject": desc(tb - 1, rot + sign), "parent": desc(tb, rot), "sign": sign},
+        {"kind": "orientation-mirror", "subject": desc(tb - 1, 1), "other": desc(tb - 1, -1)},
+        {"kind": "classification-axiom", "subject": desc(tb, rot), "note": "unique"},
+    ]
+
+
+def _fact_faults(fact):
+    """(what, faulty copy) for one fact: every key missing, null or
+    doubled by an unknown one, wrong scalar types and values, malformed
+    descriptors, an unknown kind and a mismatched stabilization."""
+    keys = [key for key in fact if key != "note"] + ["note"]
+    for key in keys:
+        if key in fact:
+            yield f"missing {key}", {k: v for k, v in fact.items() if k != key}
+        yield f"null {key}", {**fact, key: None}
+    yield "extra key", {**fact, "zz": 1}
+    yield "extra key and a 2-key subject", {**fact, "zz": 1, "subject": {"type": "k", "tb": 1}}
+    yield "with a note", {**fact, "note": "n"}
+    yield "empty note", {**fact, "note": ""}
+    yield "foreign genus", {**fact, "genus": 1} if "genus" not in fact else {**fact, "sign": 1}
+    yield "note not a string", {**fact, "note": 3}
+    yield "unknown kind", {**fact, "kind": "page-witnesses"}
+    yield "kind not a string", {**fact, "kind": 1}
+    for key in ("genus", "sign"):
+        if key in fact:
+            for bad in (1.0, True, "1", 0, 2, -1):
+                yield f"{key} {bad!r}", {**fact, key: bad}
+    for key in ("subject", "parent", "other"):
+        if key in fact:
+            d = fact[key]
+            yield f"{key} tb string", {**fact, key: {**d, "tb": str(d["tb"])}}
+            yield f"{key} tb -5", {**fact, key: {**d, "tb": -5}}
+            yield f"{key} rot float", {**fact, key: {**d, "rot": float(d["rot"])}}
+            yield f"{key} type int", {**fact, key: {**d, "type": 5}}
+            yield f"{key} 2 keys", {**fact, key: {"type": d["type"], "tb": d["tb"]}}
+            yield f"{key} 4 keys", {**fact, key: {**d, "zz": 0}}
+            yield f"{key} tagged", {**fact, key: {**d, "tags": ["seen"]}}
+            yield f"{key} bad tags", {**fact, key: {**d, "tags": "seen"}}
+            yield f"{key} list", {**fact, key: [d["type"], d["tb"], d["rot"]]}
+    if fact["kind"] == "stabilization-of":
+        subject = fact["subject"]
+        yield "subject off by one", {**fact, "subject": {**subject, "tb": subject["tb"] + 1}}
+        yield "subject of the other sign", {**fact, "sign": -fact["sign"]}
+    if fact["kind"] == "orientation-mirror":
+        yield "other not mirrored", {**fact, "other": {**fact["other"], "rot": 1}}
+    yield "fact not an object", [fact]
+
+
+def fact_fault_documents():
+    """Seeded fact documents, each with one faulty fact among valid ones."""
+    rng = random.Random(4045)
+    for index in range(6):
+        facts = _fact_fault_base(rng)
+        for what, faulty in _fact_faults(facts[index]):
+            doc = json.loads(json.dumps(facts))
+            doc[index] = faulty
+            rng.shuffle(doc)
+            yield what, json.dumps({"facts": doc})
+
+
+# Recorded before the fact parser gained its per-kind quick path; see CHANGES.md.
+FACT_FAULTS_DIGEST = "78d4f75a85c6fd68558f574d8f729fb26af4bb651976513fdb4b78d2258bb870"
+
+
+def test_fact_quick_path_accepts_only_what_the_walk_accepts(capsys):
+    digest = hashlib.sha256()
+    for _what, document in fact_fault_documents():
+        for fmt in ("human", "machine"):
+            code = main(["sg-bounds", "--input", document, "--format", fmt])
+            captured = capsys.readouterr()
+            digest.update(json.dumps([code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == FACT_FAULTS_DIGEST
+
+    # equal untagged descriptors are one object; tagged ones keep their tags
+    parent, child = {"type": "T(2,3)", "tb": 1, "rot": 0}, {"type": "T(2,3)", "tb": 0, "rot": 1}
+    facts = [
+        {"kind": "nonplanar-surgery", "subject": child},
+        {"kind": "page-witness", "genus": 0, "subject": parent},
+        {"kind": "stabilization-of", "subject": child, "parent": parent, "sign": 1},
+        {"kind": "classification-axiom", "subject": {**parent, "tags": ["top"]}},
+    ]
+    witness, stabilization, axiom = parse_text(json.dumps({"facts": facts})).facts[1:]
+    assert stabilization.parent is witness.subject and stabilization.parent.tags == ()
+    assert axiom.subject == witness.subject and axiom.subject is not witness.subject
+    assert axiom.subject.tags == ("top",)
+
+    # the inherited upper bound fires first at the clash, so its reason is
+    # built there
+    assert main(["sg-bounds", "--input", json.dumps({"facts": facts})]) == 1
+    assert capsys.readouterr().err == (
+        "error: facts about T(2,3)(tb=0, rot=1) clash: nonplanar-surgery on T(2,3)(tb=0, rot=1) forces lo >= 1 "
+        "while stabilization-of(T(2,3)(tb=0, rot=1) from T(2,3)(tb=1, rot=0), sign +1), upper bound inherited "
+        "forces hi <= 0\n"
+    )

@@ -206,6 +206,12 @@ def test_constructor_messages_are_exact():
         (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(0, 1, 2): 1}), "crossing entry (0, 1, 2) is not a pair of int band indices"),
         (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings={(True, 1): 1}), "crossing entry (True, 1) is not a pair of int band indices"),
         (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings=[(1, 1)]), "crossing entry 1 is not a pair of int band indices"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings=[(1,)]), "crossing item (1,) is not a (band pair, count) pair"),
+        (lambda: RibbonSurface(2, [0, 1, 0, 1], crossings=[1]), "crossing item 1 is not a (band pair, count) pair"),
+        (
+            lambda: RibbonSurface(2, [0, 1, 0, 1], crossings=5),
+            "crossings must be a mapping or a list of (band pair, count) items, got int",
+        ),
         (lambda: RibbonSurface(3, [0, 1, 0, 1, 2, 2], crossings={(0, 1): 1, (1, 2): 1}), disjoint_odd),
         (lambda: RibbonSurface(3, [0, 1, 0, 1, 2, 2], crossings={(0, 2): 2}), meeting_even.format(0, 1, 0)),
         # one odd pair, as many as interleave, but not the interleaved one
